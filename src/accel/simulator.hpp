@@ -50,6 +50,13 @@ struct EnergyBreakdown {
   [[nodiscard]] double total_j() const {
     return core_j + buffer_j + dram_j + static_j;
   }
+  EnergyBreakdown& operator+=(const EnergyBreakdown& other) {
+    core_j += other.core_j;
+    buffer_j += other.buffer_j;
+    dram_j += other.dram_j;
+    static_j += other.static_j;
+    return *this;
+  }
 };
 
 /// Energy of an aggregated run (uses the config's PE design and buffers).

@@ -4,24 +4,7 @@ namespace bbal::accel {
 
 std::vector<GemmShape> decode_step_gemms(const llm::ModelConfig& cfg,
                                          int ctx) {
-  std::vector<GemmShape> gemms;
-  const std::int64_t d = cfg.d_model;
-  const std::int64_t dh = cfg.head_dim();
-  const std::int64_t heads = cfg.n_heads;
-  const std::int64_t ff = cfg.d_ff;
-  for (int l = 0; l < cfg.n_layers; ++l) {
-    gemms.push_back({1, d, 3 * d, "qkv"});
-    // Attention is fused through the on-chip nonlinear unit (Fig. 7).
-    gemms.push_back({heads, dh, ctx, "attn_scores", /*out_on_chip=*/true,
-                     /*acts_on_chip=*/false});
-    gemms.push_back({heads, ctx, dh, "attn_context", /*out_on_chip=*/false,
-                     /*acts_on_chip=*/true});
-    gemms.push_back({1, d, d, "proj"});
-    gemms.push_back({1, d, ff, "gate"});
-    gemms.push_back({1, d, ff, "up"});
-    gemms.push_back({1, ff, d, "down"});
-  }
-  return gemms;
+  return prefill_chunk_gemms(cfg, ctx - 1, 1);
 }
 
 std::vector<NlOp> decode_step_nl_ops(const llm::ModelConfig& cfg, int ctx) {

@@ -33,7 +33,8 @@ struct NlOp {
 };
 
 /// All GEMMs of one decode step (M = 1) at context length `ctx`:
-/// QKV + attention score/context + output proj + gate/up/down, per layer.
+/// QKV + attention score/context + output proj + gate/up/down, per layer —
+/// the chunk-of-1 case of prefill_chunk_gemms(cfg, ctx - 1, 1).
 [[nodiscard]] std::vector<GemmShape> decode_step_gemms(
     const llm::ModelConfig& cfg, int ctx);
 
@@ -54,8 +55,7 @@ struct NlOp {
 /// paid once per chunk instead of once per token; attention stays
 /// inherently per row, one {heads, dh, base+i+1} score and one
 /// {heads, base+i+1, dh} context GEMM per chunk position i (causal ragged
-/// contexts). With chunk == 1 the list is decode_step_gemms(cfg, base+1),
-/// shape for shape.
+/// contexts). With chunk == 1 the list is decode_step_gemms(cfg, base+1).
 [[nodiscard]] std::vector<GemmShape> prefill_chunk_gemms(
     const llm::ModelConfig& cfg, int base, int chunk);
 

@@ -29,9 +29,82 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// What outlives an admission, per request. The RequestResult records
+/// TTFT, the largest inter-token gap and the step count as they happen;
+/// this holds the rest of what a suspension must carry across the gap.
+struct RequestState {
+  /// A suspended request's continuation prompt: the original prompt plus
+  /// every token generated so far. Re-admitting it re-prefills exactly the
+  /// token prefix its KV held, so the resumed stream is bit-identical (KV
+  /// rows are pure functions of the token prefix; see docs/ROBUSTNESS.md).
+  /// Empty until the first suspension.
+  std::vector<int> continuation;
+  std::int64_t suspended_at = -1;  ///< suspension clock; -1 = not suspended
+  std::int64_t cancel_at = -1;     ///< earliest planned cancellation tick
+  /// Both clocks at the arrival instant, so TTFT and total latency stay
+  /// arrival-relative — the client-visible metrics.
+  double arrival_seconds = 0.0;
+  double arrival_wall = 0.0;
+  /// Simulated clock at the previous token emission (inter-token gaps).
+  double last_emit_seconds = 0.0;
+  bool registered = false;  ///< prompt prefix registered in the pool
+};
+
+/// An admitted request mid-flight: its pool sequence and this tick's plan.
+/// prompt_pos starts at the sequence's shared prefix length, so a
+/// prefix-hit request prefills only the unshared prompt tail.
+struct InFlight {
+  std::size_t request_index = 0;  ///< into the run's requests/results
+  PagedKVPool::SeqId seq = -1;
+  PagedKVView view;
+  int prompt_pos = 0;
+  int last_token = -1;  ///< most recent generated token (decode input)
+  /// Rows this flight contributes to the current tick's fused step:
+  /// 1 + spec_k for a decode step, the granted chunk size while
+  /// prefilling, 0 when the tick's prefill budget passed it over.
+  int tick_rows = 0;
+  /// This tick's reserve failed transiently (injected fault, frozen
+  /// window, or pool pressure with preemption on): suspend and requeue
+  /// instead of retiring — the flight resumes bit-identically later.
+  bool requeue = false;
+  /// Re-prefilling after a suspension: the flight's prefill rows are
+  /// recompute work, attributed to Report::preempt_recompute_seconds.
+  bool resuming = false;
+  /// Speculative per-cycle state (docs/SPECULATIVE.md). The draft
+  /// sequence is an ephemeral fork of `seq` — it shares every verified
+  /// page (copy-on-write isolates the draft's own appends) and is
+  /// released at the end of the cycle. spec_k is 0 without speculation.
+  int spec_k = 0;  ///< tokens drafted this cycle (budget-capped)
+  PagedKVPool::SeqId draft_seq = -1;
+  PagedKVView draft_view;
+  std::vector<int> proposals;  ///< this cycle's drafted tokens
+  int tick_base = 0;     ///< target KV length at tick start
+  int tick_emitted = 0;  ///< tokens emitted by this tick (0..spec_k+1)
+};
+
 }  // namespace
 
 // --- Construction ------------------------------------------------------------
+
+Result<Engine::Pipeline> Engine::Pipeline::build(
+    const llm::PreparedModel& prepared, const quant::StrategySpec& matmul,
+    const quant::StrategySpec& nonlinear) {
+  using R = Result<Pipeline>;
+  const BackendRegistry& registry = BackendRegistry::instance();
+  auto mm = registry.make_matmul(matmul);
+  if (!mm.is_ok()) return R::error(mm.message());
+  auto nl = registry.make_nonlinear(nonlinear);
+  if (!nl.is_ok()) return R::error(nl.message());
+  Pipeline pipeline;
+  pipeline.matmul = std::move(mm).value();
+  pipeline.nonlinear = std::move(nl).value();
+  pipeline.model = std::make_unique<llm::Transformer>(
+      prepared.config, prepared.weights, *pipeline.matmul,
+      *pipeline.nonlinear);
+  pipeline.model->set_logit_scale(prepared.logit_scale);
+  pipeline.decoder = std::make_unique<llm::Decoder>(*pipeline.model);
+  return pipeline;
+}
 
 Result<Engine> Engine::create(
     std::shared_ptr<const llm::PreparedModel> model,
@@ -148,72 +221,42 @@ Result<Engine> Engine::create(
   engine.prepared_ = std::move(model);
   engine.matmul_ = matmul;
   engine.nonlinear_ = nonlinear;
+  engine.draft_ = draft_spec;
   engine.policy_ = std::move(policy).value();
   engine.kv_format_ = kv_format.value();
-  engine.faults_ = std::move(options.faults);
-  engine.preempt_ = options.preempt;
-  engine.max_preemptions_ = options.max_preemptions;
-  engine.kv_page_tokens_ = options.kv_page_tokens;
-  engine.kv_pool_pages_ = options.kv_pool_pages;
-  engine.prefill_chunk_ = options.prefill_chunk;
-  engine.prefill_budget_ = options.prefill_budget;
 
   // Accelerator binding (cost-model existence validated above): the
   // engine's matmul strategy drives the cost model, Session's rule.
   if (options.accelerator) {
-    engine.accel_ = std::move(*options.accelerator);
-    engine.accel_->strategy = matmul.to_string();
+    options.accelerator->strategy = matmul.to_string();
+    // Speculation on a priced engine also prices the draft forwards — on
+    // an iso-area re-provisioning of the target's PE budget (Fig. 8's
+    // comparison rule), so the reported speedup is what swapping drafting
+    // work onto cheaper PEs of the same silicon actually buys.
+    if (options.draft_k > 0) {
+      auto draft_accel = accel::make_iso_area_config(
+          draft_spec, options.accelerator->pe_array_area_um2(),
+          options.accelerator->dram_gbps);
+      if (!draft_accel.is_ok())
+        return R::error("draft: " + draft_accel.message());
+      engine.draft_accel_ = std::move(draft_accel).value();
+    }
   }
+  engine.options_ = std::move(options);
 
-  // Speculation on a priced engine also prices the draft forwards — on an
-  // iso-area re-provisioning of the target's PE budget (Fig. 8's
-  // comparison rule), so the reported speedup is what swapping drafting
-  // work onto cheaper PEs of the same silicon actually buys.
-  if (options.draft_k > 0 && engine.accel_) {
-    auto draft_accel = accel::make_iso_area_config(
-        draft_spec, engine.accel_->pe_array_area_um2(),
-        engine.accel_->dram_gbps);
-    if (!draft_accel.is_ok())
-      return R::error("draft: " + draft_accel.message());
-    engine.draft_accel_ = std::move(draft_accel).value();
-  }
-
-  if (options.slo) engine.slo_ = *options.slo;
-
-  // Build the one shared pipeline: the weights are prepared (quantised)
-  // exactly once here, regardless of max_batch — every request's row runs
-  // through this backend pair via the fused Decoder::step_batch.
-  engine.max_batch_ = options.max_batch;
-  auto mm = registry.make_matmul(matmul);
-  if (!mm.is_ok()) return R::error(mm.message());
-  auto nl = registry.make_nonlinear(nonlinear);
-  if (!nl.is_ok()) return R::error(nl.message());
-  engine.matmul_backend_ = std::move(mm).value();
-  engine.nonlinear_backend_ = std::move(nl).value();
-  engine.model_ = std::make_unique<llm::Transformer>(
-      engine.prepared_->config, engine.prepared_->weights,
-      *engine.matmul_backend_, *engine.nonlinear_backend_);
-  engine.model_->set_logit_scale(engine.prepared_->logit_scale);
-  engine.decoder_ = std::make_unique<llm::Decoder>(*engine.model_);
-
-  // The draft pipeline: the SAME prepared weights quantised a second time
-  // under the draft strategy, with its own decoder workspace. A
-  // draft == target pair therefore runs identical arithmetic on both
-  // sides, which is what makes its acceptance rate exactly 1.0.
-  if (options.draft_k > 0) {
-    engine.draft_ = draft_spec;
-    engine.draft_k_ = options.draft_k;
-    auto draft_mm = registry.make_matmul(draft_spec);
-    if (!draft_mm.is_ok()) return R::error("draft: " + draft_mm.message());
-    auto draft_nl = registry.make_nonlinear(nonlinear);
-    if (!draft_nl.is_ok()) return R::error("draft: " + draft_nl.message());
-    engine.draft_matmul_backend_ = std::move(draft_mm).value();
-    engine.draft_nonlinear_backend_ = std::move(draft_nl).value();
-    engine.draft_model_ = std::make_unique<llm::Transformer>(
-        engine.prepared_->config, engine.prepared_->weights,
-        *engine.draft_matmul_backend_, *engine.draft_nonlinear_backend_);
-    engine.draft_model_->set_logit_scale(engine.prepared_->logit_scale);
-    engine.draft_decoder_ = std::make_unique<llm::Decoder>(*engine.draft_model_);
+  // The weights are prepared (quantised) exactly once here, regardless of
+  // max_batch — every request's row runs through the target pipeline via
+  // the fused Decoder::step_groups. The draft pipeline quantises the SAME
+  // prepared weights under the draft strategy, so a draft == target pair
+  // runs identical arithmetic on both sides — which is what makes its
+  // acceptance rate exactly 1.0.
+  auto target = Pipeline::build(*engine.prepared_, matmul, nonlinear);
+  if (!target.is_ok()) return R::error(target.message());
+  engine.target_ = std::move(target).value();
+  if (engine.speculative()) {
+    auto drafter = Pipeline::build(*engine.prepared_, draft_spec, nonlinear);
+    if (!drafter.is_ok()) return R::error("draft: " + drafter.message());
+    engine.drafter_ = std::move(drafter).value();
   }
   return engine;
 }
@@ -246,206 +289,218 @@ std::uint64_t Engine::submit(Request request) {
   return queue_.size() - 1;
 }
 
-Report Engine::run() {
-  const llm::ModelConfig& cfg = prepared_->config;
+/// One run(): the request set, the run-scoped KV pool, the open-loop clock
+/// and the run's accumulators, with one member function per tick phase.
+/// Members initialise in declaration order, so each initialiser may read
+/// the ones above it.
+struct Engine::Run {
+  Engine& e;
+  const Options& opt = e.options_;
+  const llm::ModelConfig& cfg = e.prepared_->config;
+  std::vector<Request> requests;
   Report report;
-  report.model = cfg.name;
-  report.matmul = matmul_.to_string();
-  report.nonlinear = nonlinear_.to_string();
-  report.policy = std::string(policy_->name());
-  report.kv_format = kv_format_.name();
-  report.max_batch = max_batch();
-  report.prefill_chunk = prefill_chunk_;
-  report.prefill_budget = prefill_budget_;
-  if (speculative()) {
-    report.draft = draft_.to_string();
-    report.draft_k = draft_k_;
-  }
-  report.has_cost = accel_.has_value();
-  report.has_slo = slo_.has_value();
-  if (slo_) {
-    report.slo_ttft_seconds = slo_->ttft_seconds;
-    report.slo_inter_token_seconds = slo_->inter_token_seconds;
-  }
-  report.weights_bytes = weights_bytes();
-  report.fault_plan = faults_.describe();
-  report.preempt = preempt_;
+  std::vector<RequestState> state = std::vector<RequestState>(requests.size());
+  /// Valid requests ordered by (arrival_tick, submit order), so closed-loop
+  /// traffic (every arrival_tick 0) reaches `waiting` in submit order.
+  std::vector<std::size_t> arrivals = validate();
+  PagedKVPool kv{cfg, pool_options()};
+  const bool sharing = e.policy_->wants_prefix_sharing();
+  /// The KV buffer macro pricing each tick's cache traffic, sized to the
+  /// *packed* pool: a quantised kv_format shrinks the macro and its
+  /// per-access energy along with the resident bytes.
+  const hw::SramMacro kv_sram = hw::make_sram(
+      static_cast<std::size_t>(kv.max_pages()) *
+      static_cast<std::size_t>(kv.page_bytes()));
+  /// One position's packed K+V bytes across all layers: the unit of KV
+  /// traffic pricing.
+  const std::int64_t token_kv_bytes =
+      static_cast<std::int64_t>(cfg.n_layers) * 2 * kv.encoded_row_bytes();
+  const std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
 
-  std::vector<Request> requests(std::make_move_iterator(queue_.begin()),
-                                std::make_move_iterator(queue_.end()));
-  queue_.clear();
-  report.requests = static_cast<std::int64_t>(requests.size());
-  report.results.resize(requests.size());
-
-  // Arrival spikes rewrite the stamped workload before anything reads it:
-  // the request set is unchanged, a window of arrivals just lands at once.
-  for (const FaultPlan::ArrivalSpike& spike : faults_.spikes)
-    inject_arrival_spike(requests, spike.tick, spike.window);
-
-  // Validate up front; malformed requests become error results and are
-  // never admitted (the batch must survive a bad client). Valid requests
-  // go to the arrival queue — ordered by (arrival_tick, submit order), so
-  // closed-loop traffic (every arrival_tick 0) reaches `waiting` in
-  // submit order exactly as before open-loop time existed.
+  // --- Open-loop clock and scheduling state ---
+  // One executed tick advances the clock by one; an engine with nothing
+  // runnable jumps straight to the next arrival (idle ticks run no step
+  // and cost no simulated time).
+  std::int64_t clock = 0;
+  std::size_t next_arrival = 0;
   std::deque<std::size_t> waiting;
-  std::vector<std::size_t> arrivals;
-  bool any_deadline = false;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Request& req = requests[i];
-    RequestResult& out = report.results[i];
-    out.id = i;
-    out.prompt_tokens = static_cast<int>(req.prompt.size());
-    out.arrival_tick = req.arrival_tick;
-    out.reason = FinishReason::kInvalid;  // until the request validates
-    if (req.prompt.empty()) {
-      out.error = "empty prompt";
-      continue;
-    }
-    if (req.max_new_tokens <= 0) {
-      out.error = "max_new_tokens must be > 0, got " +
-                  std::to_string(req.max_new_tokens);
-      continue;
-    }
-    if (req.arrival_tick < 0) {
-      out.error = "arrival_tick must be >= 0, got " +
-                  std::to_string(req.arrival_tick);
-      continue;
-    }
-    if (req.deadline_tick < 0) {
-      out.error = "deadline_tick must be >= 0, got " +
-                  std::to_string(req.deadline_tick);
-      continue;
-    }
-    if (req.deadline_tick > 0 && req.deadline_tick <= req.arrival_tick) {
-      out.error = "deadline_tick " + std::to_string(req.deadline_tick) +
-                  " must be > arrival_tick " +
-                  std::to_string(req.arrival_tick);
-      continue;
-    }
-    const auto bad =
-        std::find_if(req.prompt.begin(), req.prompt.end(),
-                     [&](int t) { return t < 0 || t >= cfg.vocab; });
-    if (bad != req.prompt.end()) {
-      out.error = "prompt token " + std::to_string(*bad) +
-                  " outside vocabulary [0, " + std::to_string(cfg.vocab) + ")";
-      continue;
-    }
-    out.reason = FinishReason::kNone;
-    any_deadline |= req.deadline_tick > 0;
-    arrivals.push_back(i);
-  }
-  report.has_faults = preempt_ || !faults_.empty() || any_deadline;
-  std::stable_sort(arrivals.begin(), arrivals.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return requests[a].arrival_tick <
-                            requests[b].arrival_tick;
-                   });
+  std::vector<InFlight> active;
+  /// With one shared pipeline a "slot" is just admission headroom: how
+  /// many more requests this tick's fused batch may carry.
+  int free_slots = opt.max_batch;
+  bool frozen = false;  ///< fault-plan exhaustion window covers this tick
+  double tick_seconds = 0.0;  ///< this tick's simulated latency
 
-  // --- KV pool: run-scoped, fresh per run (deterministic page ids) ---
-  // A request that runs to its budget appends prompt + max_new - 1
-  // positions (the final generated token is never fed back).
-  const auto total_positions = [](const Request& req) {
-    return static_cast<int>(req.prompt.size()) + req.max_new_tokens - 1;
-  };
-  PagedKVPool::Options kv_options;
-  kv_options.page_tokens = kv_page_tokens_;
-  kv_options.kv_format = kv_format_;
-  if (kv_pool_pages_ > 0) {
-    kv_options.max_pages = kv_pool_pages_;
-  } else {
+  // --- Per-tick scratch, reused across ticks ---
+  std::vector<int> prefill_remaining;  ///< prompt tokens left, per flight
+  std::vector<int> prefill_grants;     ///< plan_prefill output, per flight
+  std::vector<int> tick_tokens;
+  std::vector<llm::KVCacheView*> tick_views;
+  std::vector<int> tick_counts;  ///< rows per view (step_groups)
+  llm::Matrix tick_logits;
+  std::vector<int> draft_tokens;               ///< draft batch, per step
+  std::vector<llm::KVCacheView*> draft_views;  ///< draft batch views
+  llm::Matrix draft_logits;
+  std::vector<accel::GemmShape> tick_workload;   ///< target accelerator
+  std::vector<accel::GemmShape> draft_workload;  ///< draft accelerator
+  std::vector<accel::GemmShape> equiv_workload;  ///< target-only pricing
+
+  // --- Run accumulators ---
+  double sim_makespan = 0.0;  ///< sum of per-tick simulated latencies
+  double target_equiv_seconds = 0.0;  ///< counterfactual (speculative runs)
+  std::vector<double> token_latencies;   ///< simulated, per emitted token
+  std::vector<double> inter_token_gaps;  ///< gaps between a request's tokens
+  accel::EnergyBreakdown energy;
+  double kv_energy_j = 0.0;
+  double requeue_delay_sum = 0.0;
+  std::int64_t occupancy_sum = 0;
+  std::int64_t kv_pages_sum = 0;            ///< pages in use, summed per tick
+  std::int64_t contiguous_peak_tokens = 0;  ///< monolithic-cache comparison
+
+  Run(Engine& engine, std::vector<Request> submitted)
+      : e(engine), requests(std::move(submitted)) {
+    active.reserve(static_cast<std::size_t>(opt.max_batch));
+    for (const FaultPlan::Cancellation& c : opt.faults.cancellations) {
+      if (c.request < 0 || c.request >= static_cast<int>(requests.size()))
+        continue;
+      auto& at = state[static_cast<std::size_t>(c.request)].cancel_at;
+      at = at < 0 ? c.tick : std::min(at, c.tick);
+    }
+    report.model = cfg.name;
+    report.matmul = e.matmul_.to_string();
+    report.nonlinear = e.nonlinear_.to_string();
+    report.policy = std::string(e.policy_->name());
+    report.kv_format = e.kv_format_.name();
+    report.max_batch = opt.max_batch;
+    report.prefill_chunk = opt.prefill_chunk;
+    report.prefill_budget = opt.prefill_budget;
+    if (e.speculative()) {
+      report.draft = e.draft_.to_string();
+      report.draft_k = opt.draft_k;
+    }
+    report.has_cost = opt.accelerator.has_value();
+    report.has_slo = opt.slo.has_value();
+    if (opt.slo) {
+      report.slo_ttft_seconds = opt.slo->ttft_seconds;
+      report.slo_inter_token_seconds = opt.slo->inter_token_seconds;
+    }
+    report.weights_bytes = e.weights_bytes();
+    report.fault_plan = opt.faults.describe();
+    report.preempt = opt.preempt;
+    report.requests = static_cast<std::int64_t>(requests.size());
+  }
+
+  // --- Setup ---
+
+  /// Stamp every result and validate up front: malformed requests become
+  /// error results and are never admitted (the batch must survive a bad
+  /// client). Arrival spikes rewrite the stamped workload first — the
+  /// request set is unchanged, a window of arrivals just lands at once.
+  std::vector<std::size_t> validate() {
+    for (const FaultPlan::ArrivalSpike& spike : opt.faults.spikes)
+      inject_arrival_spike(requests, spike.tick, spike.window);
+    report.results.resize(requests.size());
+    std::vector<std::size_t> valid;
+    bool any_deadline = false;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const Request& req = requests[i];
+      RequestResult& out = report.results[i];
+      out.id = i;
+      out.prompt_tokens = static_cast<int>(req.prompt.size());
+      out.arrival_tick = req.arrival_tick;
+      out.reason = FinishReason::kInvalid;  // until the request validates
+      const auto bad =
+          std::find_if(req.prompt.begin(), req.prompt.end(),
+                       [&](int t) { return t < 0 || t >= cfg.vocab; });
+      if (req.prompt.empty()) {
+        out.error = "empty prompt";
+      } else if (req.max_new_tokens <= 0) {
+        out.error = "max_new_tokens must be > 0, got " +
+                    std::to_string(req.max_new_tokens);
+      } else if (req.arrival_tick < 0) {
+        out.error = "arrival_tick must be >= 0, got " +
+                    std::to_string(req.arrival_tick);
+      } else if (req.deadline_tick < 0) {
+        out.error = "deadline_tick must be >= 0, got " +
+                    std::to_string(req.deadline_tick);
+      } else if (req.deadline_tick > 0 &&
+                 req.deadline_tick <= req.arrival_tick) {
+        out.error = "deadline_tick " + std::to_string(req.deadline_tick) +
+                    " must be > arrival_tick " +
+                    std::to_string(req.arrival_tick);
+      } else if (bad != req.prompt.end()) {
+        out.error = "prompt token " + std::to_string(*bad) +
+                    " outside vocabulary [0, " + std::to_string(cfg.vocab) +
+                    ")";
+      } else {
+        out.reason = FinishReason::kNone;
+        any_deadline |= req.deadline_tick > 0;
+        valid.push_back(i);
+      }
+    }
+    report.has_faults = opt.preempt || !opt.faults.empty() || any_deadline;
+    std::stable_sort(valid.begin(), valid.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return requests[a].arrival_tick <
+                              requests[b].arrival_tick;
+                     });
+    return valid;
+  }
+
+  /// The run-scoped pool: fresh per run, so page ids are deterministic.
+  PagedKVPool::Options pool_options() const {
+    PagedKVPool::Options options;
+    options.page_tokens = opt.kv_page_tokens;
+    options.kv_format = e.kv_format_;
+    if (opt.kv_pool_pages > 0) {
+      options.max_pages = opt.kv_pool_pages;
+      return options;
+    }
     // Auto-size: every valid request resident at once (payloads allocate
     // lazily, so headroom costs page-table slots, not memory).
+    const int page = opt.kv_page_tokens;
     std::int64_t pages = 0;
     for (const std::size_t i : arrivals)
-      pages += (total_positions(requests[i]) + kv_page_tokens_ - 1) /
-               kv_page_tokens_;
-    if (speculative() && !arrivals.empty()) {
+      pages += (total_positions(i) + page - 1) / page;
+    if (e.speculative() && !arrivals.empty()) {
       // Speculation headroom, per concurrently-decoding flight: the
       // verify window never reserves past total_positions, but each cycle
       // transiently holds a draft fork — up to one copy-on-write tail
       // copy plus the fork's own proposal pages.
-      const std::int64_t per_flight =
-          (draft_k_ + kv_page_tokens_ - 1) / kv_page_tokens_ + 2;
-      pages += per_flight *
-               std::min<std::int64_t>(
-                   max_batch_, static_cast<std::int64_t>(arrivals.size()));
+      const std::int64_t per_flight = (opt.draft_k + page - 1) / page + 2;
+      pages += per_flight * std::min<std::int64_t>(
+                                opt.max_batch,
+                                static_cast<std::int64_t>(arrivals.size()));
     }
-    kv_options.max_pages = static_cast<int>(std::max<std::int64_t>(pages, 1));
+    options.max_pages = static_cast<int>(std::max<std::int64_t>(pages, 1));
+    return options;
   }
-  PagedKVPool kv(cfg, kv_options);
-  const bool sharing = policy_->wants_prefix_sharing();
-  // The KV buffer macro pricing each tick's cache traffic (has_cost runs).
-  // Sized to the *packed* pool, so a quantised kv_format shrinks the macro
-  // and its per-access energy along with the resident bytes.
-  const hw::SramMacro kv_sram = hw::make_sram(
-      static_cast<std::size_t>(kv.max_pages()) *
-      static_cast<std::size_t>(kv.page_bytes()));
-  // One position's packed K+V bytes across all layers: the unit of KV
-  // traffic pricing below.
-  const std::int64_t token_kv_bytes = static_cast<std::int64_t>(cfg.n_layers) *
-                                      2 * kv.encoded_row_bytes();
-  // What PR 3's monolithic per-request caches stored per position — always
-  // FP32 floats, so kv_bytes_peak_contiguous stays the format-independent
-  // yardstick the packed pool is compared against.
-  const std::int64_t token_bytes = static_cast<std::int64_t>(cfg.n_layers) *
-                                   2 * cfg.d_model *
-                                   static_cast<std::int64_t>(sizeof(float));
 
-  std::vector<InFlight> active;
-  active.reserve(static_cast<std::size_t>(max_batch_));
-  // With one shared pipeline a "slot" is just admission headroom: how
-  // many more requests this tick's fused batch may carry.
-  int free_slots = max_batch_;
+  // --- Per-request helpers ---
 
-  // --- Robustness state (all per request; inert on fault-free runs) ---
-  // A suspended flight's continuation prompt: the original prompt plus
-  // every token generated so far. Re-admitting it re-prefills exactly the
-  // token prefix its KV held, so the resumed stream is bit-identical (KV
-  // rows are pure functions of the token prefix; see docs/ROBUSTNESS.md).
-  std::vector<std::vector<int>> resume_prompt(requests.size());
-  const auto prompt_of = [&](std::size_t index) -> const std::vector<int>& {
-    return resume_prompt[index].empty() ? requests[index].prompt
-                                        : resume_prompt[index];
-  };
-  // Timing/progress carried across a suspension (the InFlight dies with
-  // its slot; its clocks must not).
-  struct Suspended {
-    std::int64_t tick = -1;  ///< suspension clock; -1 = not suspended
-    int steps = 0;           ///< engine ticks accumulated before suspension
-    double ttft_seconds = 0.0;
-    double ttft_wall_seconds = 0.0;
-    double last_emit_seconds = 0.0;
-    double max_gap_seconds = 0.0;
-  };
-  std::vector<Suspended> susp(requests.size());
-  std::vector<char> prefix_registered(requests.size(), 0);
-  // Earliest planned cancellation tick per request (-1 = none).
-  std::vector<std::int64_t> cancel_at(requests.size(), -1);
-  for (const FaultPlan::Cancellation& c : faults_.cancellations) {
-    if (c.request < 0 || c.request >= static_cast<int>(requests.size()))
-      continue;
-    auto& at = cancel_at[static_cast<std::size_t>(c.request)];
-    at = at < 0 ? c.tick : std::min(at, c.tick);
-  }
-  double requeue_delay_sum = 0.0;
-
-  // Pages the active set is still going to allocate: the admission budget
-  // that keeps mid-run exhaustion impossible under an explicit pool cap.
-  // (A resumed request's budget is unchanged: its continuation prompt has
-  // P + j tokens but only max_new - j tokens left, so total_positions of
-  // the original request still bounds its pages.)
-  const auto pending_pages = [&] {
-    std::int64_t pending = 0;
-    for (const InFlight& flight : active)
-      pending += kv.pages_for(total_positions(requests[flight.request_index])) -
-                 kv.pages_for(kv.length(flight.seq));
-    return pending;
-  };
-  const auto fits = [&](std::size_t index) {
+  /// KV positions a request appends when it runs to its budget: prompt +
+  /// max_new - 1 (the final generated token is never fed back). A resumed
+  /// request's continuation has P + j tokens but only max_new - j left, so
+  /// the original request still bounds its pages.
+  int total_positions(std::size_t index) const {
     const Request& req = requests[index];
+    return static_cast<int>(req.prompt.size()) + req.max_new_tokens - 1;
+  }
+  const std::vector<int>& prompt_of(std::size_t index) const {
+    const std::vector<int>& continuation = state[index].continuation;
+    return continuation.empty() ? requests[index].prompt : continuation;
+  }
+  int prompt_left(const InFlight& flight) const {
+    return static_cast<int>(prompt_of(flight.request_index).size()) -
+           flight.prompt_pos;
+  }
+
+  /// Does `index` fit the pool's page budget right now?
+  bool fits(std::size_t index) const {
     const std::vector<int>& prompt = prompt_of(index);
     const int shared = sharing ? kv.probe_prefix_tokens(prompt) : 0;
-    if (preempt_) {
+    if (opt.preempt) {
       // Optimistic gate: admit when the *prefill* fits (prompt + first
       // generated position). Decode growth past that may exhaust the
       // pool mid-run — exactly the pressure preemption absorbs by
@@ -455,364 +510,333 @@ Report Engine::run() {
           shared / kv.page_tokens();
       return kv.stats().pages_in_use + needed <= kv.max_pages();
     }
+    // Pages the active set is still going to allocate: the budget that
+    // keeps mid-run exhaustion impossible under an explicit pool cap.
+    std::int64_t pending = 0;
+    for (const InFlight& flight : active)
+      pending += kv.pages_for(total_positions(flight.request_index)) -
+                 kv.pages_for(kv.length(flight.seq));
     std::int64_t needed =
-        kv.pages_for(total_positions(req)) - shared / kv.page_tokens();
+        kv.pages_for(total_positions(index)) - shared / kv.page_tokens();
     // Keep the transient speculative fork affordable for every flight
     // that could be mid-cycle at once (a failed draft reservation only
     // degrades a cycle to a plain step, but admission shouldn't plan on
     // degrading).
-    if (speculative())
-      needed += static_cast<std::int64_t>(kv.pages_for(draft_k_) + 2) *
+    if (e.speculative())
+      needed += static_cast<std::int64_t>(kv.pages_for(opt.draft_k) + 2) *
                 static_cast<std::int64_t>(active.size() + 1);
-    return kv.stats().pages_in_use + pending_pages() + needed <=
-           kv.max_pages();
-  };
+    return kv.stats().pages_in_use + pending + needed <= kv.max_pages();
+  }
 
-  // Per-tick batch scratch, reused across ticks: once each vector has hit
-  // its high-water mark, the steady-state loop allocates nothing.
-  std::vector<int> tick_tokens;
-  std::vector<llm::KVCacheView*> tick_views;
-  std::vector<int> tick_counts;        ///< rows per view (step_groups)
-  std::vector<int> prefill_remaining;  ///< prompt tokens left, per flight
-  std::vector<int> prefill_grants;     ///< plan_prefill output, per flight
-  llm::Matrix tick_logits;
-  std::vector<int> draft_tokens;               ///< draft batch, per step
-  std::vector<llm::KVCacheView*> draft_views;  ///< draft batch views
-  llm::Matrix draft_logits;
-  std::vector<accel::GemmShape> equiv_workload;  ///< target-only pricing
-  double target_equiv_seconds = 0.0;  ///< counterfactual (speculative runs)
-  std::vector<double> token_latencies;   ///< simulated, per emitted token
-  std::vector<double> inter_token_gaps;  ///< gaps between a request's tokens
-  accel::EnergyBreakdown energy;
-  double kv_energy_j = 0.0;
-  double sim_makespan = 0.0;  ///< sum of per-tick simulated latencies
-  std::int64_t occupancy_sum = 0;
-  std::int64_t kv_pages_sum = 0;          ///< pages in use, summed per tick
-  std::int64_t contiguous_peak_tokens = 0;  ///< monolithic-cache comparison
-
-  // --- Open-loop clock ---
-  // One executed decode tick advances the clock by one; an engine with
-  // nothing runnable jumps straight to the next arrival (idle ticks run
-  // no step and cost no simulated time). Arrival instants are stamped on
-  // both clocks when a request becomes visible, so TTFT/total latency
-  // stay arrival-relative — the client-visible metrics.
-  std::int64_t clock = 0;
-  std::size_t next_arrival = 0;
-  std::vector<double> arrival_seconds(requests.size(), 0.0);
-  std::vector<double> arrival_wall(requests.size(), 0.0);
-
-  const auto run_start = std::chrono::steady_clock::now();
-  const auto deliver_arrivals = [&] {
-    while (next_arrival < arrivals.size() &&
-           requests[arrivals[next_arrival]].arrival_tick <= clock) {
-      const std::size_t index = arrivals[next_arrival];
-      arrival_seconds[index] = sim_makespan;
-      arrival_wall[index] = seconds_since(run_start);
-      waiting.push_back(index);
-      ++next_arrival;
-    }
-  };
-  // Suspend a flight: release its pages (shared pages survive via their
-  // refcounts), carry its clocks and step count across the gap, and
-  // requeue it behind a continuation prompt of prompt + generated-so-far.
-  // The caller removes it from `active`.
-  const auto suspend_flight = [&](InFlight& flight) {
-    const std::size_t index = flight.request_index;
-    RequestResult& out = report.results[index];
+  /// Give a flight's pages back (shared pages survive via their
+  /// refcounts) and free its batch slot.
+  void release(InFlight& flight) {
     if (flight.draft_seq >= 0) kv.release(flight.draft_seq);
     kv.release(flight.seq);
-    Suspended& s = susp[index];
-    s.tick = clock;
-    s.steps += flight.steps;
-    s.ttft_seconds = flight.ttft_seconds;
-    s.ttft_wall_seconds = flight.ttft_wall_seconds;
-    s.last_emit_seconds = flight.last_emit_seconds;
-    s.max_gap_seconds = flight.max_gap_seconds;
-    std::vector<int> continuation = requests[index].prompt;
-    continuation.insert(continuation.end(), out.generated.begin(),
-                        out.generated.end());
-    resume_prompt[index] = std::move(continuation);
-    ++out.preemptions;
-    ++report.preemptions;
-    waiting.push_back(index);
     ++free_slots;
-  };
-  // Preemption under pool pressure: the policy picks a decoding victim
-  // (still-prefilling flights hold no decode progress worth trading;
-  // flights at their preemption bound are exempt). False when nothing is
-  // preemptible.
-  const auto try_preempt = [&]() -> bool {
-    std::vector<std::size_t> decoding;
-    for (const InFlight& flight : active)
-      if (flight.prompt_pos >=
-              static_cast<int>(prompt_of(flight.request_index).size()) &&
-          report.results[flight.request_index].preemptions < max_preemptions_)
-        decoding.push_back(flight.request_index);
-    const int victim = policy_->pick_preempt(requests, decoding);
-    if (victim == SchedulerPolicy::kNone) return false;
-    const std::size_t target = decoding[static_cast<std::size_t>(victim)];
-    for (auto it = active.begin(); it != active.end(); ++it) {
-      if (it->request_index != target) continue;
-      suspend_flight(*it);
-      active.erase(it);
+  }
+
+  /// The one retirement path — completion (kNone), a typed failure, or an
+  /// expiry, for a queued request (flight == nullptr) or an active one.
+  /// Partial output stays in the result; the clocks say what the request
+  /// did up to here. The caller removes the request from its queue.
+  void retire(std::size_t index, InFlight* flight, FinishReason reason,
+              std::string error) {
+    RequestResult& out = report.results[index];
+    out.ok = reason == FinishReason::kNone;
+    out.reason = reason;
+    out.error = std::move(error);
+    out.total_seconds = sim_makespan - state[index].arrival_seconds;
+    out.wall_seconds = seconds_since(start) - state[index].arrival_wall;
+    if (reason == FinishReason::kCancelled) ++report.cancellations;
+    if (reason == FinishReason::kTimeout) ++report.timeouts;
+    if (reason == FinishReason::kOom ||
+        reason == FinishReason::kPreemptedUnrecoverable)
+      ++report.oom_failures;
+    if (out.ok && opt.slo)
+      out.slo_ok = out.ttft_seconds <= opt.slo->ttft_seconds &&
+                   out.max_inter_token_seconds <= opt.slo->inter_token_seconds;
+    if (out.ok && report.has_cost && out.total_seconds > 0.0)
+      out.tokens_per_second =
+          static_cast<double>(out.generated.size()) / out.total_seconds;
+    if (flight != nullptr) release(*flight);
+  }
+
+  /// The one expiry check: a planned client cancellation or a reached
+  /// deadline retires the request gracefully — partial output plus a
+  /// typed reason — whether it is queued (flight == nullptr) or active.
+  bool expire(std::size_t index, InFlight* flight) {
+    const Request& req = requests[index];
+    const std::int64_t cancel_at = state[index].cancel_at;
+    const std::string progress =
+        flight == nullptr
+            ? ""
+            : " with " + std::to_string(report.results[index].generated.size()) +
+                  " of " + std::to_string(req.max_new_tokens) + " tokens";
+    if (cancel_at >= 0 && clock >= cancel_at) {
+      retire(index, flight, FinishReason::kCancelled,
+             "cancelled: fault-plan cancellation at tick " +
+                 std::to_string(cancel_at) + progress);
+      return true;
+    }
+    if (req.deadline_tick > 0 && clock >= req.deadline_tick) {
+      retire(index, flight, FinishReason::kTimeout,
+             "timeout: deadline tick " + std::to_string(req.deadline_tick) +
+                 " reached" + (flight == nullptr ? " while queued" : progress));
       return true;
     }
     return false;
-  };
-  // Typed mid-run retirement: partial output stays in the result, the
-  // reason is never a bare error string. Caller removes from `active`.
-  const auto retire_flight = [&](InFlight& flight, FinishReason reason,
-                                 std::string message) {
+  }
+
+  /// Suspend a flight: release its pages and requeue it behind a
+  /// continuation prompt of prompt + generated-so-far. The caller removes
+  /// it from `active`.
+  void suspend(InFlight& flight) {
     const std::size_t index = flight.request_index;
     RequestResult& out = report.results[index];
-    out.reason = reason;
-    out.error = std::move(message);
-    out.steps = susp[index].steps + flight.steps;
-    out.ttft_seconds = flight.ttft_seconds;
-    out.ttft_wall_seconds = flight.ttft_wall_seconds;
-    out.max_inter_token_seconds = flight.max_gap_seconds;
-    out.total_seconds = sim_makespan - arrival_seconds[index];
-    out.wall_seconds = seconds_since(run_start) - arrival_wall[index];
-    if (flight.draft_seq >= 0) kv.release(flight.draft_seq);
-    kv.release(flight.seq);
-    ++free_slots;
-  };
-  while (next_arrival < arrivals.size() || !waiting.empty() ||
-         !active.empty()) {
-    deliver_arrivals();
+    release(flight);
+    state[index].suspended_at = clock;
+    state[index].continuation = requests[index].prompt;
+    state[index].continuation.insert(state[index].continuation.end(),
+                                     out.generated.begin(),
+                                     out.generated.end());
+    ++out.preemptions;
+    ++report.preemptions;
+    waiting.push_back(index);
+  }
+
+  /// Preemption under pool pressure: the policy picks a decoding victim
+  /// (still-prefilling flights hold no decode progress worth trading;
+  /// flights at their preemption bound are exempt). False when nothing is
+  /// preemptible.
+  bool try_preempt() {
+    std::vector<std::size_t> decoding;
+    for (const InFlight& flight : active)
+      if (prompt_left(flight) <= 0 &&
+          report.results[flight.request_index].preemptions <
+              opt.max_preemptions)
+        decoding.push_back(flight.request_index);
+    const int victim = e.policy_->pick_preempt(requests, decoding);
+    if (victim == SchedulerPolicy::kNone) return false;
+    const std::size_t target = decoding[static_cast<std::size_t>(victim)];
+    const auto it = std::find_if(
+        active.begin(), active.end(),
+        [&](const InFlight& flight) { return flight.request_index == target; });
+    suspend(*it);
+    active.erase(it);
+    return true;
+  }
+
+  /// Appends the GEMMs that advance a sequence by `rows` positions from
+  /// context `base`: the one workload builder behind every price this
+  /// engine reports. A decode step is the chunk-of-1 case, shape for shape.
+  void append_rows(std::vector<accel::GemmShape>& workload, int base,
+                   int rows) const {
+    const std::vector<accel::GemmShape> step =
+        accel::prefill_chunk_gemms(cfg, base, rows);
+    workload.insert(workload.end(), step.begin(), step.end());
+  }
+
+  /// Prices `workload` on `accel`, charges its MACs and energy to the run,
+  /// and returns its simulated seconds.
+  double charge(const accel::AcceleratorConfig& accel,
+                const std::vector<accel::GemmShape>& workload) {
+    const accel::RunStats stats = accel::simulate_workload(accel, workload);
+    report.simulated_macs += stats.gemm.macs;
+    energy += stats.energy;
+    return stats.seconds;
+  }
+
+  // --- Tick phases (Engine::run drives them in order) ---
+
+  bool live() const {
+    return next_arrival < arrivals.size() || !waiting.empty() ||
+           !active.empty();
+  }
+
+  /// Deliver due arrivals (stamped on both clocks), then retire cancelled
+  /// and expired requests from both queues. False when nothing is left to
+  /// run: the clock jumps straight to the next arrival.
+  bool arrive() {
+    while (next_arrival < arrivals.size() &&
+           requests[arrivals[next_arrival]].arrival_tick <= clock) {
+      const std::size_t index = arrivals[next_arrival++];
+      state[index].arrival_seconds = sim_makespan;
+      state[index].arrival_wall = seconds_since(start);
+      waiting.push_back(index);
+    }
     if (report.has_faults) {
-      // Client cancellations and expired deadlines retire gracefully —
-      // partial output plus a typed reason — from both queues.
-      for (auto it = waiting.begin(); it != waiting.end();) {
-        const std::size_t index = *it;
-        const Request& req = requests[index];
-        RequestResult& out = report.results[index];
-        if (cancel_at[index] >= 0 && clock >= cancel_at[index]) {
-          out.reason = FinishReason::kCancelled;
-          out.error = "cancelled: fault-plan cancellation at tick " +
-                      std::to_string(cancel_at[index]);
-          out.steps = susp[index].steps;
-          ++report.cancellations;
-          it = waiting.erase(it);
-        } else if (req.deadline_tick > 0 && clock >= req.deadline_tick) {
-          out.reason = FinishReason::kTimeout;
-          out.error = "timeout: deadline tick " +
-                      std::to_string(req.deadline_tick) +
-                      " reached while queued";
-          out.steps = susp[index].steps;
-          ++report.timeouts;
-          it = waiting.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      std::erase_if(waiting,
+                    [&](std::size_t index) { return expire(index, nullptr); });
       std::erase_if(active, [&](InFlight& flight) {
-        const std::size_t index = flight.request_index;
-        const Request& req = requests[index];
-        const std::size_t emitted = report.results[index].generated.size();
-        if (cancel_at[index] >= 0 && clock >= cancel_at[index]) {
-          retire_flight(flight, FinishReason::kCancelled,
-                        "cancelled: fault-plan cancellation at tick " +
-                            std::to_string(cancel_at[index]) + " with " +
-                            std::to_string(emitted) + " of " +
-                            std::to_string(req.max_new_tokens) + " tokens");
-          ++report.cancellations;
-          return true;
-        }
-        if (req.deadline_tick > 0 && clock >= req.deadline_tick) {
-          retire_flight(flight, FinishReason::kTimeout,
-                        "timeout: deadline tick " +
-                            std::to_string(req.deadline_tick) +
-                            " reached with " + std::to_string(emitted) +
-                            " of " + std::to_string(req.max_new_tokens) +
-                            " tokens");
-          ++report.timeouts;
-          return true;
-        }
-        return false;
+        return expire(flight.request_index, &flight);
       });
     }
-    if (waiting.empty() && active.empty()) {
-      // Idle: everything left is in the future. Jump, don't spin. (The
-      // fault scans above may have retired the last live request.)
-      if (next_arrival >= arrivals.size()) break;
+    if (!waiting.empty() || !active.empty()) return true;
+    if (next_arrival < arrivals.size())
       clock = requests[arrivals[next_arrival]].arrival_tick;
-      continue;
-    }
-    // A frozen pool (fault-plan exhaustion window) admits nothing this
-    // tick — every admission allocates pages.
-    const bool frozen = report.has_faults && faults_.exhausted_at(clock);
+    return false;
+  }
+
+  /// Admission: the policy picks, the page budget gates. A frozen pool
+  /// (fault-plan exhaustion window) admits nothing — every admission
+  /// allocates pages. False when no flight is active to step this tick.
+  bool admit() {
+    frozen = report.has_faults && opt.faults.exhausted_at(clock);
     // Deadline-risk preemption: a queued request whose slack cannot cover
     // even its remaining token count claims a slot from a decoding flight
     // rather than waiting out a completion.
-    if (preempt_ && !frozen && free_slots == 0 && !waiting.empty()) {
-      for (const std::size_t index : waiting) {
-        const Request& req = requests[index];
-        if (req.deadline_tick <= 0) continue;
-        const std::int64_t slack = req.deadline_tick - clock;
-        const std::int64_t need =
-            static_cast<std::int64_t>(prompt_of(index).size()) +
-            req.max_new_tokens;
-        if (slack <= need) {
-          (void)try_preempt();
-          break;
-        }
-      }
-    }
-    // --- Admission: the policy picks, the page budget gates ---
+    if (opt.preempt && !frozen && free_slots == 0 &&
+        std::any_of(waiting.begin(), waiting.end(), [&](std::size_t index) {
+          const Request& req = requests[index];
+          return req.deadline_tick > 0 &&
+                 req.deadline_tick - clock <=
+                     static_cast<std::int64_t>(prompt_of(index).size()) +
+                         req.max_new_tokens;
+        }))
+      (void)try_preempt();
     while (!frozen && !waiting.empty() && free_slots > 0) {
       std::vector<std::size_t> prefilling;
       for (const InFlight& flight : active)
-        if (flight.prompt_pos <
-            static_cast<int>(prompt_of(flight.request_index).size()))
-          prefilling.push_back(flight.request_index);
-      int pick = policy_->pick(requests, waiting, prefilling, kv);
+        if (prompt_left(flight) > 0) prefilling.push_back(flight.request_index);
+      int pick = e.policy_->pick(requests, waiting, prefilling, kv);
       if (pick == SchedulerPolicy::kNone) {
         // Deferral needs someone to wait for; an idle engine admits FIFO.
         if (!active.empty()) break;
         pick = 0;
       }
-      const std::size_t index = waiting[static_cast<std::size_t>(pick)];
-      const Request& req = requests[index];
+      const auto at = waiting.begin() + pick;
+      const std::size_t index = *at;
+      // Under preemption, pool pressure is absorbed by suspending decoding
+      // flights instead of waiting for retirements.
+      if (opt.preempt)
+        while (!fits(index) && try_preempt()) {
+        }
       if (!fits(index)) {
-        // Under preemption, pool pressure is absorbed by suspending
-        // decoding flights instead of waiting for retirements.
-        if (preempt_) {
-          bool progress = true;
-          while (!fits(index) && progress) progress = try_preempt();
-        }
+        if (!active.empty()) break;  // retirements will free pages
+        // Nothing running: reclaim shareable pages, then either the
+        // request fits or it never will.
+        kv.drop_registered_prefixes();
         if (!fits(index)) {
-          if (!active.empty()) break;  // retirements will free pages
-          // Nothing running: reclaim shareable pages, then either the
-          // request fits or it never will.
-          kv.drop_registered_prefixes();
-          if (!fits(index)) {
-            report.results[index].reason = FinishReason::kOom;
-            report.results[index].error =
-                "request needs " +
-                std::to_string(kv.pages_for(total_positions(req))) +
-                " KV pages, pool capacity is " +
-                std::to_string(kv.max_pages());
-            ++report.oom_failures;
-            waiting.erase(waiting.begin() + pick);
-            continue;
-          }
+          waiting.erase(at);
+          retire(index, nullptr, FinishReason::kOom,
+                 "request needs " +
+                     std::to_string(kv.pages_for(total_positions(index))) +
+                     " KV pages, pool capacity is " +
+                     std::to_string(kv.max_pages()));
+          continue;
         }
       }
-      InFlight flight;
-      flight.request_index = index;
-      waiting.erase(waiting.begin() + pick);
-      --free_slots;
-      const std::vector<int>& prompt = prompt_of(index);
-      flight.seq = sharing ? kv.create(prompt) : kv.create();
-      flight.view = PagedKVView(kv, flight.seq);
-      flight.prompt_pos = kv.shared_length(flight.seq);
-      flight.registered = prefix_registered[index] != 0;
-      if (susp[index].tick >= 0) {
-        // Resume: restore the clocks carried across the suspension. The
-        // re-prefill ahead (continuation prompt minus any shared prefix)
-        // is the recompute bill preemption pays for its freed pages;
-        // admit_tick/queue_ticks/shared_prompt_tokens keep their original
-        // admission's values.
-        Suspended& s = susp[index];
-        flight.ttft_seconds = s.ttft_seconds;
-        flight.ttft_wall_seconds = s.ttft_wall_seconds;
-        flight.last_emit_seconds = s.last_emit_seconds;
-        flight.max_gap_seconds = s.max_gap_seconds;
-        flight.resuming = true;
-        requeue_delay_sum += static_cast<double>(clock - s.tick);
-        s.tick = -1;
-        ++report.resumes;
-        report.preempt_recompute_tokens +=
-            static_cast<int>(prompt.size()) - flight.prompt_pos;
-      } else {
-        report.results[index].shared_prompt_tokens = flight.prompt_pos;
-        report.results[index].admit_tick = clock;
-        report.results[index].queue_ticks = clock - req.arrival_tick;
-      }
-      active.push_back(std::move(flight));
+      waiting.erase(at);
+      start_flight(index);
     }
+    if (!active.empty()) return true;
     // Every admission failed (undersized pool) or the pool is frozen: no
     // phantom empty tick — but when a frozen window is the only thing in
     // the way, the clock must advance to eventually exit it.
-    if (active.empty()) {
-      if (frozen && !waiting.empty()) ++clock;
-      continue;
+    if (frozen && !waiting.empty()) ++clock;
+    return false;
+  }
+
+  void start_flight(std::size_t index) {
+    --free_slots;
+    const std::vector<int>& prompt = prompt_of(index);
+    InFlight& flight = active.emplace_back();
+    flight.request_index = index;
+    flight.seq = sharing ? kv.create(prompt) : kv.create();
+    flight.view = PagedKVView(kv, flight.seq);
+    flight.prompt_pos = kv.shared_length(flight.seq);
+    RequestState& s = state[index];
+    RequestResult& out = report.results[index];
+    if (s.suspended_at >= 0) {
+      // Resume. The re-prefill ahead (continuation prompt minus any shared
+      // prefix) is the recompute bill preemption pays for its freed pages;
+      // admit_tick/queue_ticks/shared_prompt_tokens keep their original
+      // admission's values.
+      flight.resuming = true;
+      requeue_delay_sum += static_cast<double>(clock - s.suspended_at);
+      s.suspended_at = -1;
+      ++report.resumes;
+      report.preempt_recompute_tokens +=
+          static_cast<int>(prompt.size()) - flight.prompt_pos;
+    } else {
+      out.shared_prompt_tokens = flight.prompt_pos;
+      out.admit_tick = clock;
+      out.queue_ticks = clock - requests[index].arrival_tick;
     }
+  }
+
+  /// Plan the tick's rows: every decoding flight steps one token plus its
+  /// draft window; prefilling flights are granted up to prefill_chunk
+  /// prompt tokens each under the tick-wide prefill_budget
+  /// (serve::plan_prefill, FCFS in admission order — the SchedulerPolicy
+  /// layer's pacing rule; see docs/PREFILL.md). A flight granted 0 sits
+  /// the tick out. With the default chunk 1 / budget 0 and no speculation
+  /// every flight gets exactly one row — the legacy lockstep.
+  void plan() {
     ++report.engine_steps;
     occupancy_sum += static_cast<std::int64_t>(active.size());
-
-    // --- Plan the tick's rows: every decoding flight steps one token;
-    // prefilling flights are granted up to prefill_chunk prompt tokens
-    // each under the tick-wide prefill_budget (serve::plan_prefill, FCFS
-    // in admission order — the SchedulerPolicy layer's pacing rule; see
-    // docs/PREFILL.md). A flight granted 0 sits the tick out. With the
-    // default chunk 1 / budget 0 every flight gets exactly one row — the
-    // legacy lockstep, byte-exact with the pre-chunking engine.
     prefill_remaining.clear();
     for (const InFlight& flight : active)
-      prefill_remaining.push_back(
-          static_cast<int>(prompt_of(flight.request_index).size()) -
-          flight.prompt_pos);
-    plan_prefill(prefill_remaining, prefill_chunk_, prefill_budget_,
+      prefill_remaining.push_back(prompt_left(flight));
+    plan_prefill(prefill_remaining, opt.prefill_chunk, opt.prefill_budget,
                  prefill_grants);
     bool tick_has_prefill = false;
     bool tick_has_decode = false;
     for (std::size_t i = 0; i < active.size(); ++i) {
+      InFlight& flight = active[i];
       if (prefill_remaining[i] > 0) {
-        active[i].tick_rows = prefill_grants[i];
+        flight.tick_rows = prefill_grants[i];
         tick_has_prefill |= prefill_grants[i] > 0;
-      } else if (!speculative()) {
-        active[i].tick_rows = 1;
-        tick_has_decode = true;
-      } else {
-        // Speculation cycle setup. The draft window is capped so the
-        // cycle never emits past the request's budget (accepted drafts
-        // plus the correction/bonus token is at most spec_k + 1); with
-        // one token left the cycle degenerates to a plain verified step.
-        // The draft sequence forks the target BEFORE the target's own
-        // reserve: the fork pins the shared tail, so the target's verify
-        // appends copy-on-write it instead of two sequences writing one
-        // page. A draft that cannot reserve (explicit undersized pool)
-        // degrades to spec_k = 0 — speculation never fails a request.
-        InFlight& flight = active[i];
-        const Request& req = requests[flight.request_index];
-        const int remaining =
-            req.max_new_tokens -
-            static_cast<int>(
-                report.results[flight.request_index].generated.size());
-        int k = std::min(draft_k_, remaining - 1);
-        if (k > 0) {
-          flight.draft_seq = kv.fork(flight.seq);
-          if (kv.reserve(flight.draft_seq, k).is_ok()) {
-            flight.draft_view = PagedKVView(kv, flight.draft_seq);
-          } else {
-            kv.release(flight.draft_seq);
-            flight.draft_seq = -1;
-            k = 0;
-          }
-        }
-        flight.spec_k = k;
-        flight.tick_rows = 1 + k;
-        tick_has_decode = true;
+        continue;
       }
+      tick_has_decode = true;
+      // The draft window is capped so the cycle never emits past the
+      // request's budget (accepted drafts plus the correction/bonus token
+      // is at most spec_k + 1); with one token left — or no speculation —
+      // the cycle is a plain verified step. The draft sequence forks the
+      // target BEFORE the target's own reserve: the fork pins the shared
+      // tail, so the target's verify appends copy-on-write it instead of
+      // two sequences writing one page. A draft that cannot reserve
+      // (explicit undersized pool) degrades to spec_k = 0 — speculation
+      // never fails a request.
+      const int remaining =
+          requests[flight.request_index].max_new_tokens -
+          static_cast<int>(
+              report.results[flight.request_index].generated.size());
+      int k = std::min(opt.draft_k, remaining - 1);
+      if (k > 0) {
+        flight.draft_seq = kv.fork(flight.seq);
+        if (kv.reserve(flight.draft_seq, k).is_ok()) {
+          flight.draft_view = PagedKVView(kv, flight.draft_seq);
+        } else {
+          kv.release(flight.draft_seq);
+          flight.draft_seq = -1;
+          k = 0;
+        }
+      }
+      flight.spec_k = k;
+      flight.tick_rows = 1 + k;
     }
     if (tick_has_prefill && tick_has_decode) ++report.mixed_ticks;
+  }
 
-    // --- Reserve this tick's KV positions (serial; allocation and
-    // copy-on-write happen here, so the fused step below only appends
-    // into pre-reserved, per-sequence slots). A reservation failure —
-    // real pool pressure (explicit undersized kv_pool_pages), an
-    // injected transient fault, or a frozen exhaustion window — either
-    // suspends the flight for a bit-identical resume (transient faults
-    // always; pool pressure when preemption is on) or retires it with a
-    // typed reason instead of aborting.
+  /// Reserve this tick's KV positions (serial; allocation and
+  /// copy-on-write happen here, so the fused step only appends into
+  /// pre-reserved, per-sequence slots). A reservation failure — real pool
+  /// pressure (explicit undersized kv_pool_pages), an injected transient
+  /// fault, or a frozen exhaustion window — either suspends the flight for
+  /// a bit-identical resume (transient faults always; pool pressure when
+  /// preemption is on) or retires it with a typed reason. Suspensions and
+  /// retirements release pages only after every flight has reserved.
+  /// False when no flight is left to step this tick.
+  bool reserve() {
     for (InFlight& flight : active) {
       flight.tick_base = kv.length(flight.seq);
       const bool injected =
           report.has_faults &&
-          faults_.reserve_fails(clock,
-                                static_cast<int>(flight.request_index));
+          opt.faults.reserve_fails(clock,
+                                   static_cast<int>(flight.request_index));
       // A frozen window refuses fresh pages; within-page appends proceed
       // (that memory already exists).
       const bool frozen_block =
@@ -833,197 +857,167 @@ Report Engine::run() {
         flight.tick_rows = 1;
         if (!injected && !frozen_block) reserved = kv.reserve(flight.seq, 1);
       }
-      if (!reserved.is_ok()) {
-        RequestResult& out = report.results[flight.request_index];
-        if ((injected || preempt_) && out.preemptions < max_preemptions_) {
-          flight.requeue = true;
-        } else {
-          flight.failed = true;
-          out.reason = out.preemptions > 0
-                           ? FinishReason::kPreemptedUnrecoverable
-                           : FinishReason::kOom;
-          out.error = std::string(finish_reason_name(out.reason)) + ": " +
-                      reserved.message() + " at tick " + std::to_string(clock);
-        }
+      if (reserved.is_ok()) continue;
+      RequestResult& out = report.results[flight.request_index];
+      if ((injected || opt.preempt) && out.preemptions < opt.max_preemptions) {
+        flight.requeue = true;
+      } else {
+        out.reason = out.preemptions > 0
+                         ? FinishReason::kPreemptedUnrecoverable
+                         : FinishReason::kOom;
+        out.error = std::string(finish_reason_name(out.reason)) + ": " +
+                    reserved.message() + " at tick " + std::to_string(clock);
       }
     }
     std::erase_if(active, [&](InFlight& flight) {
-      if (flight.requeue) {
-        suspend_flight(flight);
-        return true;
-      }
-      if (!flight.failed) return false;
-      if (flight.draft_seq >= 0) kv.release(flight.draft_seq);
-      kv.release(flight.seq);
-      ++free_slots;
-      ++report.oom_failures;
+      const RequestResult& out = report.results[flight.request_index];
+      if (flight.requeue)
+        suspend(flight);
+      else if (out.reason != FinishReason::kNone)
+        retire(flight.request_index, &flight, out.reason, out.error);
+      else
+        return false;
       return true;
     });
     // Requeues can empty the tick (e.g. every flight hit the frozen
     // window): advance the clock so the window eventually passes.
     if (active.empty()) {
       ++clock;
-      continue;
+      return false;
     }
     kv_pages_sum += kv.stats().pages_in_use;
+    return true;
+  }
 
-    // --- Draft phase (speculative cycles only): the cheap backend
-    // proposes spec_k tokens per decoding flight, one fused draft
-    // step_batch per proposal depth across every still-drafting flight.
-    // Drafts attend over the verified prefix through the fork's shared
-    // pages and over their own proposals through the fork's private
-    // (copy-on-write) tail — the target's pages are never written. Each
-    // logits row is an independent serial accumulation, so proposals are
-    // deterministic at any BBAL_THREADS and any batch composition.
-    if (speculative()) {
-      for (InFlight& flight : active) flight.proposals.clear();
-      for (int s = 0;; ++s) {
-        draft_tokens.clear();
-        draft_views.clear();
-        for (InFlight& flight : active) {
-          if (flight.spec_k <= s) continue;
-          draft_tokens.push_back(s == 0 ? flight.last_token
-                                        : flight.proposals.back());
-          draft_views.push_back(&flight.draft_view);
-        }
-        if (draft_tokens.empty()) break;
-        draft_decoder_->step_batch(draft_tokens, draft_views, draft_logits);
-        int row = 0;
-        for (InFlight& flight : active) {
-          if (flight.spec_k <= s) continue;
-          flight.proposals.push_back(greedy_argmax(draft_logits.row(row)));
-          ++row;
-        }
+  /// Speculative cycles only: the draft pipeline proposes spec_k tokens
+  /// per decoding flight, one fused draft step_batch per proposal depth
+  /// across every still-drafting flight. Drafts attend over the verified
+  /// prefix through the fork's shared pages and over their own proposals
+  /// through the fork's private (copy-on-write) tail — the target's pages
+  /// are never written. Each logits row is an independent serial
+  /// accumulation, so proposals are deterministic at any BBAL_THREADS and
+  /// any batch composition.
+  void draft() {
+    if (!e.speculative()) return;
+    for (InFlight& flight : active) flight.proposals.clear();
+    for (int s = 0;; ++s) {
+      draft_tokens.clear();
+      draft_views.clear();
+      for (InFlight& flight : active) {
+        if (flight.spec_k <= s) continue;
+        draft_tokens.push_back(s == 0 ? flight.last_token
+                                      : flight.proposals.back());
+        draft_views.push_back(&flight.draft_view);
+      }
+      if (draft_tokens.empty()) break;
+      e.drafter_.decoder->step_batch(draft_tokens, draft_views, draft_logits);
+      int row = 0;
+      for (InFlight& flight : active) {
+        if (flight.spec_k <= s) continue;
+        flight.proposals.push_back(greedy_argmax(draft_logits.row(row)));
+        ++row;
       }
     }
+  }
 
-    // Price the tick before stepping it: a decode row attends over
-    // (cached positions + 1); a prefill chunk prices its fused M=chunk
-    // projections plus per-row causal attention
-    // (accel::prefill_chunk_gemms — this is where chunking's simulated
-    // speedup physically comes from: weight streaming, the dominant
-    // memory-cycle term, is paid once per chunk). The batch shares the
-    // accelerator, so the tick costs their combined workload. KV-cache
-    // traffic (ctx reads + 1 write of K and V rows per layer, per row) is
-    // priced on the pool's SRAM macro.
-    double tick_seconds = 0.0;
-    if (accel_) {
-      std::vector<accel::GemmShape> workload;
-      std::vector<accel::GemmShape> draft_workload;
-      std::int64_t kv_bytes = 0;
-      for (const InFlight& flight : active) {
-        if (flight.tick_rows == 0) continue;
-        const int base = kv.length(flight.seq);
-        std::vector<accel::GemmShape> step =
-            flight.tick_rows == 1
-                ? accel::decode_step_gemms(cfg, base + 1)
-                : accel::prefill_chunk_gemms(cfg, base, flight.tick_rows);
-        // A resumed flight's re-prefill is recompute work: attribute its
-        // price (as if run alone on the same accelerator; simulated cost
-        // is additive over GEMMs) before the rows join the fused tick.
-        if (flight.resuming)
-          report.preempt_recompute_seconds +=
-              accel::simulate_workload(*accel_, step).seconds;
-        workload.insert(workload.end(),
-                        std::make_move_iterator(step.begin()),
-                        std::make_move_iterator(step.end()));
-        // ctx reads + 1 write of K and V rows per layer, in packed bytes —
-        // a quantised format moves proportionally less KV traffic.
-        for (int i = 0; i < flight.tick_rows; ++i)
-          kv_bytes += token_kv_bytes * (base + i + 2);
-        // Draft forwards: spec_k sequential M=1 decode steps at growing
-        // context, priced on the draft accelerator below. Their KV
-        // traffic hits the same pool macro as everything else.
-        for (int s = 0; s < flight.spec_k; ++s) {
-          std::vector<accel::GemmShape> dstep =
-              accel::decode_step_gemms(cfg, base + s + 1);
-          draft_workload.insert(draft_workload.end(),
-                                std::make_move_iterator(dstep.begin()),
-                                std::make_move_iterator(dstep.end()));
-          kv_bytes += token_kv_bytes * (base + s + 2);
-        }
+  /// Price the tick before stepping it: each flight's rows are a chunk
+  /// from its cached context (accel::prefill_chunk_gemms — fused M=rows
+  /// projections plus per-row causal attention; this is where chunking's
+  /// simulated speedup physically comes from: weight streaming, the
+  /// dominant memory-cycle term, is paid once per chunk). The batch shares
+  /// the accelerator, so the tick costs their combined workload; draft
+  /// forwards are spec_k sequential M=1 steps on the draft accelerator.
+  /// KV-cache traffic (ctx reads + 1 write of K and V rows per layer, per
+  /// row, in packed bytes) is priced on the pool's SRAM macro.
+  void price() {
+    if (!opt.accelerator) return;
+    tick_workload.clear();
+    draft_workload.clear();
+    std::int64_t kv_bytes = 0;
+    for (const InFlight& flight : active) {
+      if (flight.tick_rows == 0) continue;
+      const int base = kv.length(flight.seq);
+      const auto first = static_cast<std::ptrdiff_t>(tick_workload.size());
+      append_rows(tick_workload, base, flight.tick_rows);
+      // A resumed flight's re-prefill is recompute work: attribute its
+      // price (as if run alone on the same accelerator; simulated cost is
+      // additive over GEMMs) before the rows join the fused tick.
+      if (flight.resuming)
+        report.preempt_recompute_seconds +=
+            accel::simulate_workload(
+                *opt.accelerator,
+                {tick_workload.begin() + first, tick_workload.end()})
+                .seconds;
+      for (int i = 0; i < flight.tick_rows; ++i)
+        kv_bytes += token_kv_bytes * (base + i + 2);
+      for (int s = 0; s < flight.spec_k; ++s) {
+        append_rows(draft_workload, base + s, 1);
+        kv_bytes += token_kv_bytes * (base + s + 2);
       }
-      const accel::RunStats stats = accel::simulate_workload(*accel_, workload);
-      tick_seconds = stats.seconds;
-      report.simulated_macs += stats.gemm.macs;
-      energy.core_j += stats.energy.core_j;
-      energy.buffer_j += stats.energy.buffer_j;
-      energy.dram_j += stats.energy.dram_j;
-      energy.static_j += stats.energy.static_j;
-      if (!draft_workload.empty()) {
-        const accel::RunStats dstats =
-            accel::simulate_workload(*draft_accel_, draft_workload);
-        tick_seconds += dstats.seconds;
-        report.simulated_macs += dstats.gemm.macs;
-        energy.core_j += dstats.energy.core_j;
-        energy.buffer_j += dstats.energy.buffer_j;
-        energy.dram_j += dstats.energy.dram_j;
-        energy.static_j += dstats.energy.static_j;
-      }
-      sim_makespan += tick_seconds;
-      // 64-bit words on the KV macro port: 8 packed bytes per access.
-      kv_energy_j += static_cast<double>(kv_bytes) / 8.0 *
-                     kv_sram.access_pj() * 1e-12;
     }
+    tick_seconds = charge(*opt.accelerator, tick_workload);
+    if (!draft_workload.empty())
+      tick_seconds += charge(*e.draft_accel_, draft_workload);
+    sim_makespan += tick_seconds;
+    // 64-bit words on the KV macro port: 8 packed bytes per access.
+    kv_energy_j += static_cast<double>(kv_bytes) / 8.0 *
+                   kv_sram.access_pj() * 1e-12;
+  }
 
-    // Advance the tick's whole row mix in ONE fused forward
-    // (Decoder::step_groups): a decoding flight contributes one row, a
-    // prefilling flight its granted chunk of consecutive prompt tokens.
-    // Each projection is a single batched GEMM over every row
-    // (activations quantised once, rows tiled over the thread pool inside
-    // llm::matmul), attention runs per sequence — causal within a chunk —
-    // and each row's arithmetic is bit-identical to an isolated M=1 step
-    // (independent per-row accumulators), so streams match the serial
-    // unchunked reference at any BBAL_THREADS and any chunk size.
+  /// Advance the tick's whole row mix in ONE fused forward
+  /// (Decoder::step_groups): a prefilling flight contributes its granted
+  /// chunk of consecutive prompt tokens, a decoding flight its verify
+  /// window [x0, d1..d_spec_k] — the single-row group without
+  /// speculation. Each row's arithmetic is bit-identical to an isolated
+  /// M=1 step (independent per-row accumulators), so streams match the
+  /// serial unchunked reference at any BBAL_THREADS and any chunk size.
+  void forward() {
     tick_tokens.clear();
     tick_views.clear();
     tick_counts.clear();
     for (InFlight& flight : active) {
       if (flight.tick_rows == 0) continue;  // budget passed it over
-      const std::vector<int>& prompt = prompt_of(flight.request_index);
-      const bool prefilling =
-          flight.prompt_pos < static_cast<int>(prompt.size());
-      if (prefilling) {
-        for (int i = 0; i < flight.tick_rows; ++i)
-          tick_tokens.push_back(
-              prompt[static_cast<std::size_t>(flight.prompt_pos + i)]);
+      if (prompt_left(flight) > 0) {
+        const std::vector<int>& prompt = prompt_of(flight.request_index);
+        const auto pos = prompt.begin() + flight.prompt_pos;
+        tick_tokens.insert(tick_tokens.end(), pos, pos + flight.tick_rows);
       } else {
-        // A decode group is the verify window [x0, d1..d_spec_k]: the
-        // target computes every window position's logits in this one
-        // fused forward (kAllRows). With speculation off it is the
-        // single-row legacy group.
         tick_tokens.push_back(flight.last_token);
-        for (const int t : flight.proposals) tick_tokens.push_back(t);
+        tick_tokens.insert(tick_tokens.end(), flight.proposals.begin(),
+                           flight.proposals.end());
       }
       tick_views.push_back(&flight.view);
       tick_counts.push_back(flight.tick_rows);
     }
-    const bool all_rows = speculative();
-    decoder_->step_groups(tick_tokens, tick_views, tick_counts, tick_logits,
-                          all_rows ? llm::Decoder::LogitsMode::kAllRows
-                                   : llm::Decoder::LogitsMode::kLastPerGroup);
-    // Emission. Default mode: one logits row per stepped flight (its
-    // group's last row). Speculative mode: the row cursor walks every
-    // window position; a decode flight accepts the longest drafted prefix
-    // matching the target's greedy argmax, then emits the correction
-    // (first mismatching row's argmax) or — all drafts accepted — the
-    // bonus token. Rejected window rows are rolled back with
-    // PagedKVPool::truncate, so the surviving KV state is exactly what a
-    // target-only engine would hold after the same emissions.
+    e.target_.decoder->step_groups(
+        tick_tokens, tick_views, tick_counts, tick_logits,
+        e.speculative() ? llm::Decoder::LogitsMode::kAllRows
+                        : llm::Decoder::LogitsMode::kLastPerGroup);
+  }
+
+  /// Emission. Without speculation there is one logits row per stepped
+  /// flight (its group's last row); speculating, the row cursor walks
+  /// every window position. A decode flight accepts the longest drafted
+  /// prefix matching the target's greedy argmax, then emits the
+  /// correction (first mismatching row's argmax) or — all drafts accepted
+  /// — the bonus token; with spec_k == 0 that is the plain greedy step.
+  /// Rejected window rows are rolled back with PagedKVPool::truncate, so
+  /// the surviving KV state is exactly what a target-only engine would
+  /// hold after the same emissions.
+  void emit() {
+    const bool all_rows = e.speculative();
     int row = 0;
     for (InFlight& flight : active) {
       flight.tick_emitted = 0;
       if (flight.tick_rows == 0) continue;
       RequestResult& out = report.results[flight.request_index];
-      const int prompt_len =
-          static_cast<int>(prompt_of(flight.request_index).size());
-      if (flight.prompt_pos < prompt_len) {
+      if (prompt_left(flight) > 0) {
         flight.prompt_pos += flight.tick_rows;
         // The tick that consumes the final prompt token emits the first
         // generated token — for a resumed flight that is the first *new*
         // token after the re-prefilled continuation, so the stream
         // continues exactly where the suspension cut it.
-        if (flight.prompt_pos == prompt_len) {
+        if (prompt_left(flight) == 0) {
           const int last = all_rows ? row + flight.tick_rows - 1 : row;
           flight.last_token = greedy_argmax(tick_logits.row(last));
           out.generated.push_back(flight.last_token);
@@ -1031,11 +1025,6 @@ Report Engine::run() {
           flight.resuming = false;
           if (out.generated.size() == 1) out.first_token_tick = clock;
         }
-      } else if (!all_rows) {
-        flight.last_token = greedy_argmax(tick_logits.row(row));
-        out.generated.push_back(flight.last_token);
-        flight.tick_emitted = 1;
-        if (out.generated.size() == 1) out.first_token_tick = clock;
       } else {
         int accepted = 0;
         int next = -1;
@@ -1070,56 +1059,46 @@ Report Engine::run() {
       }
       row += all_rows ? flight.tick_rows : 1;
     }
+  }
 
+  /// Serial bookkeeping, in slot-admission order, then retirement of the
+  /// flights that reached their budget. Latencies are read off the global
+  /// run clocks (sim_makespan already includes this tick), so queueing
+  /// delay counts toward TTFT and total latency.
+  void account() {
     // Counterfactual pricing (speculative runs): what the same emissions
     // would have cost target-only — identical prefill work plus one M=1
     // decode step per emitted token at its context, on the target
     // accelerator. Simulated cost is additive over GEMMs, so per-tick
     // summation is exact.
-    if (accel_ && speculative()) {
+    if (opt.accelerator && e.speculative()) {
       equiv_workload.clear();
       for (const InFlight& flight : active) {
         if (flight.tick_rows == 0) continue;
-        const int prompt_len =
-            static_cast<int>(requests[flight.request_index].prompt.size());
-        if (flight.tick_base < prompt_len) {
-          std::vector<accel::GemmShape> step =
-              flight.tick_rows == 1
-                  ? accel::decode_step_gemms(cfg, flight.tick_base + 1)
-                  : accel::prefill_chunk_gemms(cfg, flight.tick_base,
-                                               flight.tick_rows);
-          equiv_workload.insert(equiv_workload.end(),
-                                std::make_move_iterator(step.begin()),
-                                std::make_move_iterator(step.end()));
+        if (flight.tick_base <
+            static_cast<int>(requests[flight.request_index].prompt.size())) {
+          append_rows(equiv_workload, flight.tick_base, flight.tick_rows);
         } else {
-          for (int i = 1; i <= flight.tick_emitted; ++i) {
-            std::vector<accel::GemmShape> step =
-                accel::decode_step_gemms(cfg, flight.tick_base + i);
-            equiv_workload.insert(equiv_workload.end(),
-                                  std::make_move_iterator(step.begin()),
-                                  std::make_move_iterator(step.end()));
-          }
+          for (int i = 0; i < flight.tick_emitted; ++i)
+            append_rows(equiv_workload, flight.tick_base + i, 1);
         }
       }
       target_equiv_seconds +=
-          accel::simulate_workload(*accel_, equiv_workload).seconds;
+          accel::simulate_workload(*opt.accelerator, equiv_workload).seconds;
     }
-    const double wall_now = seconds_since(run_start);
-
-    // What PR 3's per-request contiguous caches would hold right now.
+    const double wall_now = seconds_since(start);
+    // What per-request contiguous caches would hold right now.
     std::int64_t contiguous_tokens = 0;
     for (const InFlight& flight : active)
       contiguous_tokens += kv.length(flight.seq);
     contiguous_peak_tokens =
         std::max(contiguous_peak_tokens, contiguous_tokens);
 
-    // Serial bookkeeping + retirement, in slot-admission order. Latencies
-    // are read off the global run clocks (sim_makespan already includes
-    // this tick), so queueing delay counts toward TTFT and total latency.
     for (InFlight& flight : active) {
-      const Request& req = requests[flight.request_index];
-      RequestResult& out = report.results[flight.request_index];
-      ++flight.steps;
+      const std::size_t index = flight.request_index;
+      RequestResult& out = report.results[index];
+      RequestState& s = state[index];
+      ++out.steps;
       // Per emitted token (a speculative cycle can emit several): the
       // first-ever token stamps TTFT, every later one an inter-token gap.
       // Tokens of one tick all land at the same simulated instant, so the
@@ -1130,144 +1109,153 @@ Report Engine::run() {
       for (int t = 0; t < flight.tick_emitted; ++t) {
         token_latencies.push_back(tick_seconds);
         if (emitted_before + static_cast<std::size_t>(t) == 0) {
-          flight.ttft_seconds =
-              sim_makespan - arrival_seconds[flight.request_index];
-          flight.ttft_wall_seconds =
-              wall_now - arrival_wall[flight.request_index];
+          out.ttft_seconds = sim_makespan - s.arrival_seconds;
+          out.ttft_wall_seconds = wall_now - s.arrival_wall;
         } else {
-          const double gap = sim_makespan - flight.last_emit_seconds;
+          const double gap = sim_makespan - s.last_emit_seconds;
           inter_token_gaps.push_back(gap);
-          flight.max_gap_seconds = std::max(flight.max_gap_seconds, gap);
+          out.max_inter_token_seconds =
+              std::max(out.max_inter_token_seconds, gap);
         }
-        flight.last_emit_seconds = sim_makespan;
+        s.last_emit_seconds = sim_makespan;
       }
-      if (flight.tick_emitted > 0) {
-        // The prefill just completed: its full prompt pages become
-        // shareable for every follower with the same prefix. Registration
-        // is always over the *original* prompt (a resumed flight's pages
-        // cover it as a prefix of the continuation) and happens once per
-        // request across suspensions.
-        if (sharing && !flight.registered) {
-          kv.register_prefix(flight.seq, req.prompt);
-          flight.registered = true;
-          prefix_registered[flight.request_index] = 1;
-        }
+      // The prefill just completed: its full prompt pages become
+      // shareable for every follower with the same prefix. Registration
+      // is always over the *original* prompt (a resumed flight's pages
+      // cover it as a prefix of the continuation) and happens once per
+      // request across suspensions.
+      if (flight.tick_emitted > 0 && sharing && !s.registered) {
+        kv.register_prefix(flight.seq, requests[index].prompt);
+        s.registered = true;
       }
     }
     std::erase_if(active, [&](InFlight& flight) {
-      const Request& req = requests[flight.request_index];
-      RequestResult& out = report.results[flight.request_index];
-      if (static_cast<int>(out.generated.size()) < req.max_new_tokens)
+      const std::size_t index = flight.request_index;
+      if (static_cast<int>(report.results[index].generated.size()) <
+          requests[index].max_new_tokens)
         return false;
-      out.ok = true;
-      out.steps = susp[flight.request_index].steps + flight.steps;
-      out.ttft_seconds = flight.ttft_seconds;
-      out.ttft_wall_seconds = flight.ttft_wall_seconds;
-      out.total_seconds = sim_makespan - arrival_seconds[flight.request_index];
-      out.wall_seconds = wall_now - arrival_wall[flight.request_index];
-      out.max_inter_token_seconds = flight.max_gap_seconds;
-      if (slo_)
-        out.slo_ok = out.ttft_seconds <= slo_->ttft_seconds &&
-                     flight.max_gap_seconds <= slo_->inter_token_seconds;
-      if (report.has_cost && out.total_seconds > 0.0)
-        out.tokens_per_second =
-            static_cast<double>(out.generated.size()) / out.total_seconds;
-      kv.release(flight.seq);
-      ++free_slots;
+      retire(index, &flight, FinishReason::kNone, "");
       return true;
     });
     ++clock;
   }
-  report.wall_seconds = seconds_since(run_start);
-  report.clock_ticks = clock;
 
-  // --- Paged-KV aggregates ---
-  report.kv_pages_allocated = kv.stats().pages_allocated;
-  report.kv_bytes_peak = kv.bytes_peak();
-  report.kv_bytes_peak_contiguous = contiguous_peak_tokens * token_bytes;
-  report.prefix_hit_rate = kv.stats().prefix_hit_rate();
-  if (report.engine_steps > 0)
-    report.kv_pool_occupancy =
-        static_cast<double>(kv_pages_sum) /
-        (static_cast<double>(report.engine_steps) *
-         static_cast<double>(kv.max_pages()));
-  report.kv_energy_j = kv_energy_j;
+  /// The run's aggregates, once the loop has drained.
+  Report finish() {
+    report.wall_seconds = seconds_since(start);
+    report.clock_ticks = clock;
 
-  // --- Aggregates (completed requests only) ---
-  double ttft_sum = 0.0;
-  double queue_sum = 0.0;
-  std::vector<double> queue_delays;
-  std::vector<double> ttfts;
-  std::uint32_t hash = 2166136261u;
-  for (const RequestResult& out : report.results) {
-    if (!out.ok) continue;
-    ++report.completed;
-    report.prompt_tokens += out.prompt_tokens;
-    report.generated_tokens += static_cast<std::int64_t>(out.generated.size());
-    ttft_sum += out.ttft_seconds;
-    ttfts.push_back(out.ttft_seconds);
-    queue_sum += static_cast<double>(out.queue_ticks);
-    queue_delays.push_back(static_cast<double>(out.queue_ticks));
-    if (out.slo_ok) ++report.slo_met;
-    fnv32_mix(hash, static_cast<std::uint32_t>(out.id));
-    for (const int token : out.generated)
-      fnv32_mix(hash, static_cast<std::uint32_t>(token));
-  }
-  report.stream_hash = hash;
+    // --- Paged-KV aggregates ---
+    report.kv_pages_allocated = kv.stats().pages_allocated;
+    report.kv_bytes_peak = kv.bytes_peak();
+    // What per-request monolithic caches stored per position — always FP32
+    // floats, so kv_bytes_peak_contiguous stays the format-independent
+    // yardstick the packed pool is compared against.
+    report.kv_bytes_peak_contiguous =
+        contiguous_peak_tokens * static_cast<std::int64_t>(cfg.n_layers) * 2 *
+        cfg.d_model * static_cast<std::int64_t>(sizeof(float));
+    report.prefix_hit_rate = kv.stats().prefix_hit_rate();
+    if (report.engine_steps > 0)
+      report.kv_pool_occupancy =
+          static_cast<double>(kv_pages_sum) /
+          (static_cast<double>(report.engine_steps) *
+           static_cast<double>(kv.max_pages()));
+    report.kv_energy_j = kv_energy_j;
 
-  // --- Open-loop load metrics ---
-  if (report.completed > 0)
-    report.queue_delay_mean_ticks =
-        queue_sum / static_cast<double>(report.completed);
-  report.queue_delay_p99_ticks = percentile(queue_delays, 99.0);
-  if (!arrivals.empty()) {
-    std::int64_t demanded_tokens = 0;
-    std::int64_t last_arrival = 0;
-    for (const std::size_t i : arrivals) {
-      demanded_tokens += requests[i].max_new_tokens;
-      last_arrival = std::max(last_arrival, requests[i].arrival_tick);
+    // --- Aggregates (completed requests only) ---
+    double ttft_sum = 0.0;
+    double queue_sum = 0.0;
+    std::vector<double> queue_delays;
+    std::vector<double> ttfts;
+    std::uint32_t hash = 2166136261u;
+    for (const RequestResult& out : report.results) {
+      if (!out.ok) continue;
+      ++report.completed;
+      report.prompt_tokens += out.prompt_tokens;
+      report.generated_tokens +=
+          static_cast<std::int64_t>(out.generated.size());
+      ttft_sum += out.ttft_seconds;
+      ttfts.push_back(out.ttft_seconds);
+      queue_sum += static_cast<double>(out.queue_ticks);
+      queue_delays.push_back(static_cast<double>(out.queue_ticks));
+      if (out.slo_ok) ++report.slo_met;
+      fnv32_mix(hash, static_cast<std::uint32_t>(out.id));
+      for (const int token : out.generated)
+        fnv32_mix(hash, static_cast<std::uint32_t>(token));
     }
-    report.offered_tokens_per_tick =
-        static_cast<double>(demanded_tokens) /
-        static_cast<double>(last_arrival + 1);
+    report.stream_hash = hash;
+
+    // --- Open-loop load metrics ---
+    if (report.completed > 0)
+      report.queue_delay_mean_ticks =
+          queue_sum / static_cast<double>(report.completed);
+    report.queue_delay_p99_ticks = percentile(queue_delays, 99.0);
+    if (!arrivals.empty()) {
+      std::int64_t demanded_tokens = 0;
+      std::int64_t last_arrival = 0;
+      for (const std::size_t i : arrivals) {
+        demanded_tokens += requests[i].max_new_tokens;
+        last_arrival = std::max(last_arrival, requests[i].arrival_tick);
+      }
+      report.offered_tokens_per_tick =
+          static_cast<double>(demanded_tokens) /
+          static_cast<double>(last_arrival + 1);
+    }
+    if (report.clock_ticks > 0)
+      report.throughput_tokens_per_tick =
+          static_cast<double>(report.generated_tokens) /
+          static_cast<double>(report.clock_ticks);
+    if (report.has_slo && report.requests > 0)
+      report.goodput_under_slo = static_cast<double>(report.slo_met) /
+                                 static_cast<double>(report.requests);
+    if (report.engine_steps > 0)
+      report.mean_batch_occupancy = static_cast<double>(occupancy_sum) /
+                                    static_cast<double>(report.engine_steps);
+    // --- Robustness and speculative aggregates ---
+    if (report.resumes > 0)
+      report.requeue_delay_mean_ticks =
+          requeue_delay_sum / static_cast<double>(report.resumes);
+    if (report.drafted_tokens > 0)
+      report.acceptance_rate = static_cast<double>(report.accepted_tokens) /
+                               static_cast<double>(report.drafted_tokens);
+    if (report.has_cost && e.speculative() && sim_makespan > 0.0)
+      report.speedup_vs_target = target_equiv_seconds / sim_makespan;
+    // Ticks run sequentially on the shared accelerator, so the simulated
+    // makespan of the run is the sum of per-tick latencies.
+    report.total_seconds = sim_makespan;
+    if (report.has_cost && sim_makespan > 0.0)
+      report.throughput_tokens_per_second =
+          static_cast<double>(report.generated_tokens) / sim_makespan;
+    report.energy_j = energy.total_j() + report.kv_energy_j;
+    if (report.completed > 0)
+      report.ttft_mean_seconds =
+          ttft_sum / static_cast<double>(report.completed);
+    report.p50_step_seconds = percentile(token_latencies, 50.0);
+    report.p95_step_seconds = percentile(token_latencies, 95.0);
+    report.p99_step_seconds = percentile(token_latencies, 99.0);
+    report.p99_ttft_seconds = percentile(ttfts, 99.0);
+    report.p50_inter_token_seconds = percentile(inter_token_gaps, 50.0);
+    report.p95_inter_token_seconds = percentile(inter_token_gaps, 95.0);
+    report.p99_inter_token_seconds = percentile(inter_token_gaps, 99.0);
+    return std::move(report);
   }
-  if (report.clock_ticks > 0)
-    report.throughput_tokens_per_tick =
-        static_cast<double>(report.generated_tokens) /
-        static_cast<double>(report.clock_ticks);
-  if (report.has_slo && report.requests > 0)
-    report.goodput_under_slo = static_cast<double>(report.slo_met) /
-                               static_cast<double>(report.requests);
-  if (report.engine_steps > 0)
-    report.mean_batch_occupancy = static_cast<double>(occupancy_sum) /
-                                  static_cast<double>(report.engine_steps);
-  // --- Robustness aggregates ---
-  if (report.resumes > 0)
-    report.requeue_delay_mean_ticks =
-        requeue_delay_sum / static_cast<double>(report.resumes);
-  // --- Speculative aggregates ---
-  if (report.drafted_tokens > 0)
-    report.acceptance_rate = static_cast<double>(report.accepted_tokens) /
-                             static_cast<double>(report.drafted_tokens);
-  if (report.has_cost && speculative() && sim_makespan > 0.0)
-    report.speedup_vs_target = target_equiv_seconds / sim_makespan;
-  // Ticks run sequentially on the shared accelerator, so the simulated
-  // makespan of the run is the sum of per-tick latencies.
-  report.total_seconds = sim_makespan;
-  if (report.has_cost && sim_makespan > 0.0)
-    report.throughput_tokens_per_second =
-        static_cast<double>(report.generated_tokens) / sim_makespan;
-  report.energy_j = energy.total_j() + report.kv_energy_j;
-  if (report.completed > 0)
-    report.ttft_mean_seconds = ttft_sum / static_cast<double>(report.completed);
-  report.p50_step_seconds = percentile(token_latencies, 50.0);
-  report.p95_step_seconds = percentile(token_latencies, 95.0);
-  report.p99_step_seconds = percentile(token_latencies, 99.0);
-  report.p99_ttft_seconds = percentile(ttfts, 99.0);
-  report.p50_inter_token_seconds = percentile(inter_token_gaps, 50.0);
-  report.p95_inter_token_seconds = percentile(inter_token_gaps, 95.0);
-  report.p99_inter_token_seconds = percentile(inter_token_gaps, 99.0);
-  return report;
+};
+
+Report Engine::run() {
+  Run run(*this, {std::make_move_iterator(queue_.begin()),
+                  std::make_move_iterator(queue_.end())});
+  queue_.clear();
+  while (run.live()) {
+    if (!run.arrive() || !run.admit()) continue;
+    run.plan();
+    if (!run.reserve()) continue;
+    run.draft();
+    run.price();
+    run.forward();
+    run.emit();
+    run.account();
+  }
+  return run.finish();
 }
 
 // --- Report ------------------------------------------------------------------
