@@ -14,11 +14,12 @@
 // prefix-aware policy exactly like shared_prefix_requests traffic.
 //
 // Token content is NOT stored: prompts are materialised from
-// (model config, entry index / prefix group, seed) with the same
-// deterministic Rng scheme as serve::workload, which keeps traces tiny,
-// model-agnostic, and bit-replayable — write → read → materialize is
-// the identity on the resulting request vector (test_load pins the
-// round trip). docs/LOADGEN.md is the format spec.
+// (model config, entry index / prefix group, seed) with one deterministic
+// Rng scheme (serve::workload's generators are trace shapes materialised
+// here too), which keeps traces tiny, model-agnostic, and bit-replayable
+// — write → read → materialize is the identity on the resulting request
+// vector (test_load pins the round trip). docs/LOADGEN.md is the format
+// spec.
 #pragma once
 
 #include <cstdint>

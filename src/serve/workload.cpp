@@ -1,31 +1,21 @@
 #include "serve/workload.hpp"
 
 #include "bbal/registry.hpp"
-#include "common/rng.hpp"
 #include "llm/decoder.hpp"
+#include "serve/trace.hpp"
 
 namespace bbal::serve {
+
+// The generators below are trace shapes materialised through
+// materialize_trace, which owns the per-request token streams.
 
 std::vector<Request> synthetic_requests(const llm::ModelConfig& config,
                                         int count, int base_prompt_len,
                                         int max_new_tokens,
                                         std::uint64_t seed) {
-  std::vector<Request> requests;
-  requests.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    // Per-request stream: staggered lengths exercise different context
-    // depths inside one batch (the continuous-batching case).
-    Rng rng(seed ^ (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ull));
-    Request req;
-    req.max_new_tokens = max_new_tokens;
-    const int prompt_len = base_prompt_len + 2 * (i % 5);
-    req.prompt.reserve(static_cast<std::size_t>(prompt_len));
-    for (int t = 0; t < prompt_len; ++t)
-      req.prompt.push_back(
-          static_cast<int>(rng.uniform_int(0, config.vocab - 1)));
-    requests.push_back(std::move(req));
-  }
-  return requests;
+  return materialize_trace(
+      config, synthetic_trace(count, {}, base_prompt_len, max_new_tokens),
+      seed);
 }
 
 std::vector<Request> shared_prefix_requests(const llm::ModelConfig& config,
@@ -33,28 +23,11 @@ std::vector<Request> shared_prefix_requests(const llm::ModelConfig& config,
                                             int suffix_len,
                                             int max_new_tokens,
                                             std::uint64_t seed) {
-  std::vector<int> prefix;
-  prefix.reserve(static_cast<std::size_t>(prefix_len));
-  Rng prefix_rng(seed);
-  for (int t = 0; t < prefix_len; ++t)
-    prefix.push_back(
-        static_cast<int>(prefix_rng.uniform_int(0, config.vocab - 1)));
-
-  std::vector<Request> requests;
-  requests.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    Rng rng(seed ^ (static_cast<std::uint64_t>(i + 1) *
-                    0x9e3779b97f4a7c15ull));
-    Request req;
-    req.max_new_tokens = max_new_tokens;
-    req.prompt = prefix;
-    const int tail = suffix_len + (i % 3);
-    for (int t = 0; t < tail; ++t)
-      req.prompt.push_back(
-          static_cast<int>(rng.uniform_int(0, config.vocab - 1)));
-    requests.push_back(std::move(req));
-  }
-  return requests;
+  return materialize_trace(config,
+                           shared_prefix_trace(count, {}, /*groups=*/1,
+                                               prefix_len, suffix_len,
+                                               max_new_tokens),
+                           seed);
 }
 
 std::vector<Request> long_prompt_requests(const llm::ModelConfig& config,
@@ -62,25 +35,14 @@ std::vector<Request> long_prompt_requests(const llm::ModelConfig& config,
                                           int long_prompt_len, int long_every,
                                           int max_new_tokens,
                                           std::uint64_t seed) {
-  std::vector<Request> requests;
-  requests.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    Rng rng(seed ^ (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ull));
-    Request req;
-    req.max_new_tokens = max_new_tokens;
-    // The long prompts land mid-stream (index long_every-1, not 0), so a
-    // decode batch is already running when the first one starts streaming
-    // in — the interference case the decode-flatness gate measures.
-    const bool is_long = long_every > 0 && i % long_every == long_every - 1;
-    const int prompt_len =
-        is_long ? long_prompt_len : base_prompt_len + 2 * (i % 5);
-    req.prompt.reserve(static_cast<std::size_t>(prompt_len));
-    for (int t = 0; t < prompt_len; ++t)
-      req.prompt.push_back(
-          static_cast<int>(rng.uniform_int(0, config.vocab - 1)));
-    requests.push_back(std::move(req));
-  }
-  return requests;
+  std::vector<TraceEntry> entries =
+      synthetic_trace(count, {}, base_prompt_len, max_new_tokens);
+  // The long prompts land mid-stream (index long_every-1, not 0), so a
+  // decode batch is already running when the first one starts streaming
+  // in — the interference case the decode-flatness gate measures.
+  for (int i = long_every - 1; long_every > 0 && i < count; i += long_every)
+    entries[static_cast<std::size_t>(i)].prompt_len = long_prompt_len;
+  return materialize_trace(config, entries, seed);
 }
 
 std::vector<int> reference_decode(llm::Decoder& decoder,

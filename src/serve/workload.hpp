@@ -31,7 +31,8 @@ namespace bbal::serve {
 
 /// `count` requests over `config`'s vocabulary. Prompt i has
 /// base_prompt_len + 2*(i % 5) tokens drawn from Rng(seed ^ i-mix), and a
-/// budget of max_new_tokens. Pure function of its arguments.
+/// budget of max_new_tokens: materialize_trace over synthetic_trace. Pure
+/// function of its arguments.
 [[nodiscard]] std::vector<Request> synthetic_requests(
     const llm::ModelConfig& config, int count, int base_prompt_len = 12,
     int max_new_tokens = 16, std::uint64_t seed = 2024);
@@ -40,7 +41,11 @@ namespace bbal::serve {
 /// prefix (one shared draw from Rng(seed)) followed by a per-request
 /// suffix of suffix_len + (i % 3) tokens — the multi-user
 /// same-system-prompt traffic the prefix-aware policy and the paged pool's
-/// page sharing target. Pure function of its arguments.
+/// page sharing target: materialize_trace over a one-group
+/// shared_prefix_trace. With prefix_len = 0 nothing is shared and the
+/// entries are ungrouped, so prompt i is suffix_len + (i % 3) tokens of
+/// the same stream synthetic_requests draws prompt i from. Pure function
+/// of its arguments.
 [[nodiscard]] std::vector<Request> shared_prefix_requests(
     const llm::ModelConfig& config, int count, int prefix_len,
     int suffix_len = 4, int max_new_tokens = 16, std::uint64_t seed = 2024);
@@ -49,10 +54,10 @@ namespace bbal::serve {
 /// every `long_every`-th one (i % long_every == long_every - 1) carries a
 /// long_prompt_len-token prompt and the rest keep the synthetic mix's
 /// short staggered lengths (base_prompt_len + 2*(i % 5)). Token streams
-/// draw from Rng(seed ^ i-mix) like synthetic_requests, so a request's
-/// prompt depends only on its index — not on which bucket its neighbours
-/// fall in. Arrival stamping is the caller's job (serve::load). Pure
-/// function of its arguments.
+/// draw from Rng(seed ^ i-mix) like synthetic_requests (the same
+/// materialize_trace streams), so a request's prompt depends only on its
+/// index — not on which bucket its neighbours fall in. Arrival stamping is
+/// the caller's job (serve::load). Pure function of its arguments.
 [[nodiscard]] std::vector<Request> long_prompt_requests(
     const llm::ModelConfig& config, int count, int base_prompt_len = 12,
     int long_prompt_len = 96, int long_every = 4, int max_new_tokens = 16,

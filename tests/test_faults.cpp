@@ -214,6 +214,32 @@ TEST(ServeFaults, ExhaustionWindowTypesOomWithoutPreemptionAndResumesWithIt) {
         << "request " << i;
 }
 
+TEST(ServeFaults, RetiredRequestsReportWhatTheyDid) {
+  // Every retirement goes through one path, so a flight retired for oom
+  // reports the steps, TTFT and latency it accrued — as a timed-out one
+  // does — instead of zeros.
+  std::vector<serve::Request> requests;
+  for (int r = 0; r < 2; ++r) {
+    serve::Request req;
+    for (int t = 0; t < 14; ++t) req.prompt.push_back((3 * r + t) % 96);
+    req.max_new_tokens = 8;
+    requests.push_back(std::move(req));
+  }
+  serve::Engine::Options options;
+  options.max_batch = 2;
+  options.accelerator = accel::AcceleratorConfig{};
+  options.faults = serve::parse_fault_plan("exhaust@2..60").expect("plan");
+  const serve::Report report = run_requests(requests, options);
+  EXPECT_EQ(report.oom_failures, 2);
+  for (const serve::RequestResult& r : report.results) {
+    ASSERT_EQ(r.reason, serve::FinishReason::kOom) << r.error;
+    EXPECT_GT(r.steps, 0);
+    EXPECT_GT(r.ttft_seconds, 0.0);
+    EXPECT_GT(r.total_seconds, 0.0);
+    EXPECT_GE(r.total_seconds, r.ttft_seconds);
+  }
+}
+
 TEST(ServeFaults, DeadlineRetiresWithTimeoutAndPartialOutput) {
   serve::Request slow;
   for (int t = 0; t < 4; ++t) slow.prompt.push_back(t + 1);

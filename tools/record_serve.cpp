@@ -1,10 +1,10 @@
 // Record a serving baseline: the continuous-batching engine serves one
 // deterministic request mix under each strategy, and every row's metrics
 // land in one JSON file. CI diffs a fresh run against the committed
-// BENCH_serve.json with tools/bench_compare — token counts and the stream
-// hash must stay bit-identical at any thread count (the engine's
-// determinism contract); simulated seconds/throughput get the rate
-// tolerance. Host wall-clock stays in "meta" (informational, never gated).
+// BENCH_serve.json with tools/bench_compare — every row field, token
+// counts, stream hash and simulated seconds alike, must stay bit-identical
+// at any thread count (the engine's determinism contract). Host wall-clock
+// stays in "meta" (informational, never gated).
 // Each row also records weights_bytes — the quantised weight footprint of
 // the engine's one shared backend, exact-gated and independent of
 // max_batch (the fused datapath prepares weights once per engine).
@@ -78,11 +78,15 @@
 // a fault-free sibling run: completed streams must be bit-identical,
 // partial output must be a prefix of the sibling's stream, and every
 // failure must carry a typed reason — the CI chaos smoke's hash gate.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bbal/registry.hpp"
@@ -163,130 +167,92 @@ int main(int argc, char** argv) {
   std::int64_t deadline_ticks = 0;  ///< 0: no deadlines
   std::uint64_t seed = 2024;
   double rate = 0.05;
+
+  // Each valued flag's parser: it stores the value and returns the error
+  // to report ("" when the value is good).
+  using Parser = std::function<std::string(const std::string&)>;
+  const auto bad = [](const std::string& flag, const std::string& value) {
+    return "bad " + flag + " value \"" + value + "\"";
+  };
+  const std::vector<std::pair<std::string, Parser>> value_flags = {
+      {"--workload",
+       [&](const std::string& v) {
+         workload = v;
+         const bool known = v == "synthetic" || v == "shared-prefix" ||
+                            v == "poisson" || v == "bursty" ||
+                            v == "long-prompt" || v.rfind("trace=", 0) == 0;
+         return known ? "" : bad("--workload", v);
+       }},
+      {"--seed",
+       [&](const std::string& v) {
+         seed = std::strtoull(v.c_str(), nullptr, 10);
+         return std::string();
+       }},
+      {"--rate",
+       [&](const std::string& v) {
+         rate = std::strtod(v.c_str(), nullptr);
+         return rate > 0.0 ? "" : bad("--rate", v);
+       }},
+      {"--threads",
+       [&](const std::string& v) {
+         threads_flag = std::atoi(v.c_str());
+         return threads_flag > 0 ? "" : bad("--threads", v);
+       }},
+      {"--policy",
+       [&](const std::string& v) {
+         policy = v;
+         return serve::make_policy(v).is_ok() ? "" : bad("--policy", v);
+       }},
+      {"--prefill-chunk",
+       [&](const std::string& v) {
+         prefill_chunk = std::atoi(v.c_str());
+         return prefill_chunk >= 1 ? "" : bad("--prefill-chunk", v);
+       }},
+      {"--kv-format",
+       [&](const std::string& v) {
+         const auto parsed = quant::KvFormat::parse(v);
+         if (!parsed.is_ok()) return parsed.message();
+         kv_format = parsed.value().name();
+         return std::string();
+       }},
+      {"--draft",
+       [&](const std::string& v) {
+         draft = v;
+         const auto parsed = quant::StrategySpec::parse(v);
+         return parsed.is_ok() ? "" : "--draft: " + parsed.message();
+       }},
+      {"--draft-k",
+       [&](const std::string& v) {
+         draft_k = std::atoi(v.c_str());
+         return draft_k >= 1 ? "" : bad("--draft-k", v);
+       }},
+      {"--fault-plan",
+       [&](const std::string& v) {
+         const auto parsed = serve::parse_fault_plan(v);
+         if (!parsed.is_ok()) return parsed.message();
+         fault_plan = parsed.value();
+         return std::string();
+       }},
+      {"--deadline",
+       [&](const std::string& v) {
+         deadline_ticks = std::atoll(v.c_str());
+         return deadline_ticks >= 1 ? "" : bad("--deadline", v);
+       }},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--workload") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --workload needs a value\n");
+    const auto flag =
+        std::find_if(value_flags.begin(), value_flags.end(),
+                     [&](const auto& entry) { return entry.first == arg; });
+    if (flag != value_flags.end()) {
+      const std::string error = i + 1 >= argc ? arg + " needs a value"
+                                              : flag->second(argv[++i]);
+      if (!error.empty()) {
+        std::fprintf(stderr, "record_serve: %s\n", error.c_str());
         return 2;
       }
-      workload = argv[++i];
-      if (workload != "synthetic" && workload != "shared-prefix" &&
-          workload != "poisson" && workload != "bursty" &&
-          workload != "long-prompt" && workload.rfind("trace=", 0) != 0) {
-        std::fprintf(stderr, "record_serve: bad --workload value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (arg == "--seed") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --seed needs a value\n");
-        return 2;
-      }
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--rate") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --rate needs a value\n");
-        return 2;
-      }
-      rate = std::strtod(argv[++i], nullptr);
-      if (!(rate > 0.0)) {
-        std::fprintf(stderr, "record_serve: bad --rate value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --threads needs a value\n");
-        return 2;
-      }
-      threads_flag = std::atoi(argv[++i]);
-      if (threads_flag <= 0) {
-        std::fprintf(stderr, "record_serve: bad --threads value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (arg == "--policy") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --policy needs a value\n");
-        return 2;
-      }
-      policy = argv[++i];
-      if (!serve::make_policy(policy).is_ok()) {
-        std::fprintf(stderr, "record_serve: bad --policy value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (arg == "--prefill-chunk") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --prefill-chunk needs a value\n");
-        return 2;
-      }
-      prefill_chunk = std::atoi(argv[++i]);
-      if (prefill_chunk < 1) {
-        std::fprintf(stderr, "record_serve: bad --prefill-chunk value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (arg == "--kv-format") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --kv-format needs a value\n");
-        return 2;
-      }
-      kv_format = argv[++i];
-      const auto parsed = bbal::quant::KvFormat::parse(kv_format);
-      if (!parsed.is_ok()) {
-        std::fprintf(stderr, "record_serve: %s\n", parsed.message().c_str());
-        return 2;
-      }
-      kv_format = parsed.value().name();
-    } else if (arg == "--draft") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --draft needs a value\n");
-        return 2;
-      }
-      draft = argv[++i];
-      const auto parsed = bbal::quant::StrategySpec::parse(draft);
-      if (!parsed.is_ok()) {
-        std::fprintf(stderr, "record_serve: --draft: %s\n",
-                     parsed.message().c_str());
-        return 2;
-      }
-    } else if (arg == "--draft-k") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --draft-k needs a value\n");
-        return 2;
-      }
-      draft_k = std::atoi(argv[++i]);
-      if (draft_k < 1) {
-        std::fprintf(stderr, "record_serve: bad --draft-k value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (arg == "--fault-plan") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --fault-plan needs a value\n");
-        return 2;
-      }
-      const auto parsed = serve::parse_fault_plan(argv[++i]);
-      if (!parsed.is_ok()) {
-        std::fprintf(stderr, "record_serve: %s\n", parsed.message().c_str());
-        return 2;
-      }
-      fault_plan = parsed.value();
     } else if (arg == "--preempt") {
       preempt = true;
-    } else if (arg == "--deadline") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_serve: --deadline needs a value\n");
-        return 2;
-      }
-      deadline_ticks = std::atoll(argv[++i]);
-      if (deadline_ticks < 1) {
-        std::fprintf(stderr, "record_serve: bad --deadline value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
                    "usage: record_serve [out.json] [--threads N] "
@@ -333,6 +299,43 @@ int main(int argc, char** argv) {
 
   const auto wall_start = std::chrono::steady_clock::now();
   const auto prepared = prepare_shared(model_name, eval_tokens);
+
+  // One row: serve `requests` on a fresh engine over `spec`, priced on an
+  // iso-area accelerator (Fig. 8's comparison rule) when the strategy has
+  // a PE design. Prints why and returns nothing when the engine cannot be
+  // built or — with `require_complete` — a request did not complete.
+  const auto serve_row =
+      [&](const std::string& label, const quant::StrategySpec& spec,
+          serve::Engine::Options options,
+          const std::vector<serve::Request>& mix,
+          bool require_complete) -> std::optional<serve::Report> {
+    if (BackendRegistry::instance().has_cost_model(spec)) {
+      auto cfg = accel::make_iso_area_config(spec,
+                                             /*pe_area_budget_um2=*/150000.0);
+      if (!cfg.is_ok()) {
+        std::fprintf(stderr, "  %s: %s\n", label.c_str(),
+                     cfg.message().c_str());
+        return std::nullopt;
+      }
+      options.accelerator = std::move(cfg).value();
+    }
+    auto engine = serve::Engine::create(
+        prepared, spec, quant::StrategySpec::fp32(), std::move(options));
+    if (!engine.is_ok()) {
+      std::fprintf(stderr, "  %s: %s\n", label.c_str(),
+                   engine.message().c_str());
+      return std::nullopt;
+    }
+    for (const serve::Request& req : mix) engine.value().submit(req);
+    serve::Report report = engine.value().run();
+    if (require_complete && report.completed != report.requests) {
+      std::fprintf(stderr, "  %s: only %lld of %lld requests completed\n",
+                   label.c_str(), static_cast<long long>(report.completed),
+                   static_cast<long long>(report.requests));
+      return std::nullopt;
+    }
+    return report;
+  };
 
   // Build the request mix and its self-describing provenance string. The
   // descriptor lands in meta and in every row ("workload", part of the
@@ -418,6 +421,23 @@ int main(int argc, char** argv) {
                requests.size(), descriptor.c_str(), new_tokens, max_batch,
                model_name.c_str(), strategies.size());
 
+  // The strategy rows' engine configuration, minus the fault harness.
+  serve::Engine::Options row_options;
+  row_options.max_batch = max_batch;
+  row_options.policy = policy;
+  if (!kv_format.empty()) row_options.kv_format = kv_format;
+  if (draft_k > 0) {
+    row_options.draft = draft;
+    row_options.draft_k = draft_k;
+  }
+  if (prefill_chunk > 0) {
+    row_options.prefill_chunk = prefill_chunk;
+    // Budget = chunk: a tick grants at most one chunk's worth of prefill
+    // tokens across the batch, the decode-protecting pairing the docs
+    // study uses. Chunk 1 is the legacy lockstep, left unbudgeted.
+    row_options.prefill_budget = prefill_chunk > 1 ? prefill_chunk : 0;
+  }
+
   std::vector<std::string> rows;
   // Strategy-row stream hashes, kept so the committed speculative rows can
   // be checked against their target-only siblings: greedy verification
@@ -430,128 +450,69 @@ int main(int argc, char** argv) {
                    spec.message().c_str());
       return 1;
     }
-    serve::Engine::Options options;
-    options.max_batch = max_batch;
-    options.policy = policy;
-    if (!kv_format.empty()) options.kv_format = kv_format;
-    if (draft_k > 0) {
-      options.draft = draft;
-      options.draft_k = draft_k;
-    }
+    serve::Engine::Options options = row_options;
     if (chaos) {
       options.faults = fault_plan;
       options.preempt = preempt;
     }
-    if (prefill_chunk > 0) {
-      options.prefill_chunk = prefill_chunk;
-      // Budget = chunk: a tick grants at most one chunk's worth of prefill
-      // tokens across the batch, the decode-protecting pairing the docs
-      // study uses. Chunk 1 is the legacy lockstep, left unbudgeted.
-      options.prefill_budget = prefill_chunk > 1 ? prefill_chunk : 0;
-    }
-    // Iso-area accelerators (Fig. 8's comparison rule) price the rows
-    // whose strategy has a PE design.
-    if (BackendRegistry::instance().has_cost_model(spec.value())) {
-      auto cfg = accel::make_iso_area_config(spec.value(),
-                                             /*pe_area_budget_um2=*/150000.0);
-      if (!cfg.is_ok()) {
-        std::fprintf(stderr, "  %s: %s\n", strategy.c_str(),
-                     cfg.message().c_str());
-        return 1;
-      }
-      options.accelerator = std::move(cfg).value();
-    }
-    auto engine = serve::Engine::create(prepared, spec.value(),
-                                        quant::StrategySpec::fp32(),
-                                        std::move(options));
-    if (!engine.is_ok()) {
-      std::fprintf(stderr, "  %s: %s\n", strategy.c_str(),
-                   engine.message().c_str());
-      return 1;
-    }
-    for (const serve::Request& req : requests) engine.value().submit(req);
-    serve::Report report = engine.value().run();
-    report.workload = descriptor;
-    if (!chaos && report.completed != report.requests) {
-      std::fprintf(stderr, "  %s: only %lld of %lld requests completed\n",
-                   strategy.c_str(),
-                   static_cast<long long>(report.completed),
-                   static_cast<long long>(report.requests));
-      return 1;
-    }
+    auto report = serve_row(strategy, spec.value(), std::move(options),
+                            requests, /*require_complete=*/!chaos);
+    if (!report) return 1;
+    report->workload = descriptor;
     if (chaos) {
       // The hash gate: a fault-free sibling engine (same strategy, same
       // configuration, no faults/preempt/deadlines) serves the unstamped
       // mix; the faulted run must agree stream for stream.
-      serve::Engine::Options clean_options;
-      clean_options.max_batch = max_batch;
-      clean_options.policy = policy;
-      if (!kv_format.empty()) clean_options.kv_format = kv_format;
-      if (draft_k > 0) {
-        clean_options.draft = draft;
-        clean_options.draft_k = draft_k;
-      }
-      if (prefill_chunk > 0) {
-        clean_options.prefill_chunk = prefill_chunk;
-        clean_options.prefill_budget = prefill_chunk > 1 ? prefill_chunk : 0;
-      }
-      if (BackendRegistry::instance().has_cost_model(spec.value()))
-        clean_options.accelerator =
-            accel::make_iso_area_config(spec.value(),
-                                        /*pe_area_budget_um2=*/150000.0)
-                .expect("iso-area config");
-      auto clean_engine =
-          serve::Engine::create(prepared, spec.value(),
-                                quant::StrategySpec::fp32(),
-                                std::move(clean_options));
-      if (!clean_engine.is_ok()) {
-        std::fprintf(stderr, "  %s (sibling): %s\n", strategy.c_str(),
-                     clean_engine.message().c_str());
+      const auto clean =
+          serve_row(strategy + " (sibling)", spec.value(), row_options,
+                    clean_requests, /*require_complete=*/false);
+      if (!clean || !chaos_rows_agree(strategy.c_str(), *report, *clean))
         return 1;
-      }
-      for (const serve::Request& req : clean_requests)
-        clean_engine.value().submit(req);
-      const serve::Report clean = clean_engine.value().run();
-      if (!chaos_rows_agree(strategy.c_str(), report, clean)) return 1;
       std::fprintf(stderr,
                    "  %s: %lld/%lld completed, hash %u, %lld preempted "
                    "%lld resumed, %lld timeout %lld cancelled %lld oom\n",
                    strategy.c_str(),
-                   static_cast<long long>(report.completed),
-                   static_cast<long long>(report.requests),
-                   report.stream_hash,
-                   static_cast<long long>(report.preemptions),
-                   static_cast<long long>(report.resumes),
-                   static_cast<long long>(report.timeouts),
-                   static_cast<long long>(report.cancellations),
-                   static_cast<long long>(report.oom_failures));
+                   static_cast<long long>(report->completed),
+                   static_cast<long long>(report->requests),
+                   report->stream_hash,
+                   static_cast<long long>(report->preemptions),
+                   static_cast<long long>(report->resumes),
+                   static_cast<long long>(report->timeouts),
+                   static_cast<long long>(report->cancellations),
+                   static_cast<long long>(report->oom_failures));
     } else if (draft_k > 0) {
       std::fprintf(stderr,
                    "  %s: %lld tokens, hash %u, acceptance %.3f, "
                    "speedup %.3f\n",
                    strategy.c_str(),
-                   static_cast<long long>(report.generated_tokens),
-                   report.stream_hash, report.acceptance_rate,
-                   report.speedup_vs_target);
+                   static_cast<long long>(report->generated_tokens),
+                   report->stream_hash, report->acceptance_rate,
+                   report->speedup_vs_target);
     } else {
       std::fprintf(stderr, "  %s: %lld tokens, hash %u, weights %lld B\n",
                    strategy.c_str(),
-                   static_cast<long long>(report.generated_tokens),
-                   report.stream_hash,
-                   static_cast<long long>(report.weights_bytes));
+                   static_cast<long long>(report->generated_tokens),
+                   report->stream_hash,
+                   static_cast<long long>(report->weights_bytes));
     }
-    strategy_hashes.emplace_back(strategy, report.stream_hash);
-    rows.push_back(report.to_json());
+    strategy_hashes.emplace_back(strategy, report->stream_hash);
+    rows.push_back(report->to_json());
   }
+
+  // The committed sections below run only on the default invocation:
+  // --kv-format, --prefill-chunk, --draft and chaos mode pin ad-hoc
+  // configurations and record strategy rows only.
+  const bool committed =
+      kv_format.empty() && prefill_chunk == 0 && draft_k == 0 && !chaos;
+  const auto bbfp42 =
+      quant::StrategySpec::parse("BBFP(4,2)").expect("BBFP(4,2)");
 
   // The committed accuracy/memory frontier: one shared-prefix run per
   // storable KV format, all on the BBFP(4,2) matmul under the prefix-aware
   // policy. Every engine serves the same traffic, so the rows differ only
   // in how the pool stores K/V — kv_bytes_peak falls with the format while
-  // the stream hash records any token divergence. Skipped when --kv-format
-  // or --prefill-chunk pins an ad-hoc configuration (those paths record
-  // strategy rows only).
-  if (kv_format.empty() && prefill_chunk == 0 && draft_k == 0 && !chaos) {
+  // the stream hash records any token divergence.
+  if (committed) {
     const int frontier_prefix = env_int("BBAL_SERVE_FRONTIER_PREFIX", 24);
     const auto frontier_requests = serve::shared_prefix_requests(
         prepared->config, num_requests, frontier_prefix, /*suffix_len=*/4,
@@ -560,8 +521,6 @@ int main(int argc, char** argv) {
         "shared-prefix(n=" + std::to_string(num_requests) +
         ",prefix=" + std::to_string(frontier_prefix) +
         ",seed=" + std::to_string(seed) + ")";
-    const auto frontier_spec =
-        quant::StrategySpec::parse("BBFP(4,2)").expect("BBFP(4,2)");
     std::fprintf(stderr, "frontier: %zu requests [%s] under %zu KV formats\n",
                  frontier_requests.size(), frontier_descriptor.c_str(),
                  strategies.size());
@@ -570,38 +529,16 @@ int main(int argc, char** argv) {
       options.max_batch = max_batch;
       options.policy = "prefix-aware";
       options.kv_format = format;
-      auto cfg = accel::make_iso_area_config(frontier_spec,
-                                             /*pe_area_budget_um2=*/150000.0);
-      if (!cfg.is_ok()) {
-        std::fprintf(stderr, "  kv=%s: %s\n", format.c_str(),
-                     cfg.message().c_str());
-        return 1;
-      }
-      options.accelerator = std::move(cfg).value();
-      auto engine = serve::Engine::create(prepared, frontier_spec,
-                                          quant::StrategySpec::fp32(),
-                                          std::move(options));
-      if (!engine.is_ok()) {
-        std::fprintf(stderr, "  kv=%s: %s\n", format.c_str(),
-                     engine.message().c_str());
-        return 1;
-      }
-      for (const serve::Request& req : frontier_requests)
-        engine.value().submit(req);
-      serve::Report report = engine.value().run();
-      report.workload = frontier_descriptor;
-      if (report.completed != report.requests) {
-        std::fprintf(stderr, "  kv=%s: only %lld of %lld requests completed\n",
-                     format.c_str(), static_cast<long long>(report.completed),
-                     static_cast<long long>(report.requests));
-        return 1;
-      }
+      auto report = serve_row("kv=" + format, bbfp42, std::move(options),
+                              frontier_requests, /*require_complete=*/true);
+      if (!report) return 1;
+      report->workload = frontier_descriptor;
       std::fprintf(stderr, "  kv=%s: %lld tokens, hash %u, kv peak %lld B\n",
                    format.c_str(),
-                   static_cast<long long>(report.generated_tokens),
-                   report.stream_hash,
-                   static_cast<long long>(report.kv_bytes_peak));
-      rows.push_back(report.to_json());
+                   static_cast<long long>(report->generated_tokens),
+                   report->stream_hash,
+                   static_cast<long long>(report->kv_bytes_peak));
+      rows.push_back(report->to_json());
     }
   }
 
@@ -612,7 +549,7 @@ int main(int argc, char** argv) {
   // with TTFT falling as the chunk grows (docs/PREFILL.md quantifies).
   // The chunk size is named in the workload descriptor so the rows key
   // separately under bench_compare.
-  if (kv_format.empty() && prefill_chunk == 0 && draft_k == 0 && !chaos) {
+  if (committed) {
     const int long_prompt = env_int("BBAL_SERVE_LONG_PROMPT", 96);
     const int long_every = env_int("BBAL_SERVE_LONG_EVERY", 4);
     auto prefill_requests = serve::long_prompt_requests(
@@ -630,8 +567,6 @@ int main(int argc, char** argv) {
         ",every=" + std::to_string(long_every) +
         ",seed=" + std::to_string(seed) + ")+" +
         serve::describe_arrivals(arrival);
-    const auto prefill_spec =
-        quant::StrategySpec::parse("BBFP(4,2)").expect("BBFP(4,2)");
     std::fprintf(stderr, "prefill comparison: %zu requests [%s]\n",
                  prefill_requests.size(), base_descriptor.c_str());
     for (const int chunk : {1, 8, 32}) {
@@ -640,35 +575,19 @@ int main(int argc, char** argv) {
       options.policy = "fifo";
       options.prefill_chunk = chunk;
       options.prefill_budget = chunk > 1 ? chunk : 0;
-      options.accelerator =
-          accel::make_iso_area_config(prefill_spec,
-                                      /*pe_area_budget_um2=*/150000.0)
-              .expect("iso-area config");
-      auto engine = serve::Engine::create(prepared, prefill_spec,
-                                          quant::StrategySpec::fp32(),
-                                          std::move(options));
-      if (!engine.is_ok()) {
-        std::fprintf(stderr, "  chunk=%d: %s\n", chunk,
-                     engine.message().c_str());
-        return 1;
-      }
-      for (const serve::Request& req : prefill_requests)
-        engine.value().submit(req);
-      serve::Report report = engine.value().run();
-      report.workload = base_descriptor + "+chunk=" + std::to_string(chunk);
-      if (report.completed != report.requests) {
-        std::fprintf(stderr, "  chunk=%d: only %lld of %lld completed\n",
-                     chunk, static_cast<long long>(report.completed),
-                     static_cast<long long>(report.requests));
-        return 1;
-      }
+      auto report =
+          serve_row("chunk=" + std::to_string(chunk), bbfp42,
+                    std::move(options), prefill_requests,
+                    /*require_complete=*/true);
+      if (!report) return 1;
+      report->workload = base_descriptor + "+chunk=" + std::to_string(chunk);
       std::fprintf(stderr,
                    "  chunk=%2d: hash %u, mean ttft %.4gs, p99 itl %.4gs, "
                    "%lld mixed ticks\n",
-                   chunk, report.stream_hash, report.ttft_mean_seconds,
-                   report.p99_inter_token_seconds,
-                   static_cast<long long>(report.mixed_ticks));
-      rows.push_back(report.to_json());
+                   chunk, report->stream_hash, report->ttft_mean_seconds,
+                   report->p99_inter_token_seconds,
+                   static_cast<long long>(report->mixed_ticks));
+      rows.push_back(report->to_json());
     }
   }
   // The committed speculative comparison: cross-tier (draft -> target)
@@ -678,12 +597,12 @@ int main(int argc, char** argv) {
   // every row's stream hash equal its target-only sibling's above — the
   // tool enforces that here, so a committed speculative row can never
   // disagree with the baseline it claims to accelerate. The pairs span
-  // the interesting frontier: the INT8 self-draft where batched
-  // verification alone beats sequential decode (speedup_vs_target > 1.0
-  // at acceptance exactly 1.0), the best cross-tier pair (a high-fidelity
+  // the interesting frontier: the INT8 self-draft (acceptance exactly
+  // 1.0, so its speedup isolates what batched verification costs against
+  // sequential decode), the best cross-tier pair (a high-fidelity
   // BBFP(6,3) draft under the INT8 target), and the self-draft reference
   // on the paper's headline BBFP(4,2) format.
-  if (kv_format.empty() && prefill_chunk == 0 && draft_k == 0 && !chaos) {
+  if (committed) {
     struct SpecPair {
       const char* target;
       const char* draft;
@@ -710,47 +629,30 @@ int main(int argc, char** argv) {
       options.policy = "fifo";
       options.draft = pair.draft;
       options.draft_k = pair.k;
-      options.accelerator =
-          accel::make_iso_area_config(spec, /*pe_area_budget_um2=*/150000.0)
-              .expect("iso-area config");
-      auto engine = serve::Engine::create(prepared, spec,
-                                          quant::StrategySpec::fp32(),
-                                          std::move(options));
-      if (!engine.is_ok()) {
-        std::fprintf(stderr, "  %s<-%s: %s\n", pair.target, pair.draft,
-                     engine.message().c_str());
-        return 1;
-      }
-      for (const serve::Request& req : spec_requests)
-        engine.value().submit(req);
-      serve::Report report = engine.value().run();
-      report.workload = spec_descriptor;
-      if (report.completed != report.requests) {
-        std::fprintf(stderr, "  %s<-%s: only %lld of %lld completed\n",
-                     pair.target, pair.draft,
-                     static_cast<long long>(report.completed),
-                     static_cast<long long>(report.requests));
-        return 1;
-      }
+      auto report = serve_row(std::string(pair.target) + "<-" + pair.draft,
+                              spec, std::move(options), spec_requests,
+                              /*require_complete=*/true);
+      if (!report) return 1;
+      report->workload = spec_descriptor;
       // The strategy rows above served this exact mix when the run used
       // the default workload — cross-check the identity there.
       if (workload == "synthetic" && policy == "fifo") {
         for (const auto& [strategy, hash] : strategy_hashes) {
-          if (strategy == pair.target && report.stream_hash != hash) {
+          if (strategy == pair.target && report->stream_hash != hash) {
             std::fprintf(stderr,
                          "  %s<-%s: stream hash %u diverged from the "
                          "target-only row's %u — speculation changed "
                          "tokens\n",
-                         pair.target, pair.draft, report.stream_hash, hash);
+                         pair.target, pair.draft, report->stream_hash, hash);
             return 1;
           }
         }
       }
       std::fprintf(stderr,
                    "  %s<-%s k=%d: hash %u, acceptance %.3f, speedup %.3f\n",
-                   pair.target, pair.draft, pair.k, report.stream_hash,
-                   report.acceptance_rate, report.speedup_vs_target);
-      rows.push_back(report.to_json());
+                   pair.target, pair.draft, pair.k, report->stream_hash,
+                   report->acceptance_rate, report->speedup_vs_target);
+      rows.push_back(report->to_json());
     }
   }
   const double wall_seconds =

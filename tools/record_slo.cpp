@@ -9,9 +9,8 @@
 // latency tails (p99 TTFT, inter-token percentiles) and goodput_under_slo
 // against the configured SLO. Everything is on the simulated clock, so
 // rows are bit-identical across hosts and thread counts; CI diffs a fresh
-// run against the committed BENCH_slo.json with tools/bench_compare
-// (stream hashes and token counts exact, latency/delay/goodput fields
-// within the rate tolerance).
+// run against the committed BENCH_slo.json with tools/bench_compare,
+// which gates every row field exactly.
 //
 // The committed sweep shows the saturation knee the study is about: at
 // the low load the engine keeps up (goodput 1.0, queues empty), at the
@@ -37,6 +36,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,10 +164,14 @@ int main(int argc, char** argv) {
                kPrefixLen, new_tokens, max_batch, model_name.c_str(),
                slo_ttft, slo_itl);
 
-  std::vector<std::string> rows;
-  for (const double load : loads) {
-    // One trace per load: the request *shapes* are load-invariant (same
-    // prompts, same budgets); only the arrival stamps move.
+  // One (load, policy) cell: the shared-prefix trace at `load`, served on
+  // a BBFP(4,2) engine priced by the iso-area accelerator under `slo`.
+  // Every request must finish with ok or a typed reason — never untyped.
+  const auto serve_cell = [&](const std::string& label, double load,
+                              serve::Engine::Options options, serve::Slo slo)
+      -> std::optional<serve::Report> {
+    // The request *shapes* are load-invariant (same prompts, same
+    // budgets); only the arrival stamps move.
     serve::ArrivalSpec arrival;
     arrival.kind = serve::ArrivalSpec::Kind::kPoisson;
     arrival.rate = load;
@@ -176,50 +180,66 @@ int main(int argc, char** argv) {
     const auto entries = serve::shared_prefix_trace(
         num_requests, ticks, kGroups, kPrefixLen, /*suffix_len=*/4,
         new_tokens);
-    const auto requests =
-        serve::materialize_trace(prepared->config, entries, kSeed);
-    const std::string descriptor =
-        serve::describe_arrivals(arrival) + "+shared-prefix(n=" +
-        std::to_string(num_requests) + ",groups=" + std::to_string(kGroups) +
-        ",prefix=" + std::to_string(kPrefixLen) + ")";
+    options.max_batch = max_batch;
+    options.accelerator =
+        accel::make_iso_area_config(spec, /*pe_area_budget_um2=*/150000.0)
+            .expect("iso-area config");
+    options.slo = slo;
+    auto engine = serve::Engine::create(prepared, spec,
+                                        quant::StrategySpec::fp32(),
+                                        std::move(options));
+    if (!engine.is_ok()) {
+      std::fprintf(stderr, "  %s: %s\n", label.c_str(),
+                   engine.message().c_str());
+      return std::nullopt;
+    }
+    for (const serve::Request& req :
+         serve::materialize_trace(prepared->config, entries, kSeed))
+      engine.value().submit(req);
+    serve::Report report = engine.value().run();
+    for (const serve::RequestResult& r : report.results) {
+      if (!r.ok && r.reason == serve::FinishReason::kNone) {
+        std::fprintf(stderr,
+                     "  %s: request %llu failed with an UNTYPED error: %s\n",
+                     label.c_str(), static_cast<unsigned long long>(r.id),
+                     r.error.c_str());
+        return std::nullopt;
+      }
+    }
+    report.workload = serve::describe_arrivals(arrival) +
+                      "+shared-prefix(n=" + std::to_string(num_requests) +
+                      ",groups=" + std::to_string(kGroups) +
+                      ",prefix=" + std::to_string(kPrefixLen) + ")";
+    return report;
+  };
 
+  std::vector<std::string> rows;
+  for (const double load : loads) {
     for (const std::string& policy : serve::policy_names()) {
       serve::Engine::Options options;
-      options.max_batch = max_batch;
       options.policy = policy;
       if (prefill_chunk > 0) {
         options.prefill_chunk = prefill_chunk;
         options.prefill_budget = prefill_chunk > 1 ? prefill_chunk : 0;
       }
-      options.accelerator =
-          accel::make_iso_area_config(spec, /*pe_area_budget_um2=*/150000.0)
-              .expect("iso-area config");
-      options.slo = serve::Slo{slo_ttft, slo_itl};
-      auto engine = serve::Engine::create(prepared, spec,
-                                          quant::StrategySpec::fp32(),
-                                          std::move(options));
-      if (!engine.is_ok()) {
-        std::fprintf(stderr, "  %s @ %.3g: %s\n", policy.c_str(), load,
-                     engine.message().c_str());
+      char label[64];
+      std::snprintf(label, sizeof(label), "%s @ %.3g", policy.c_str(), load);
+      auto report = serve_cell(label, load, std::move(options),
+                               serve::Slo{slo_ttft, slo_itl});
+      if (!report) return 1;
+      if (report->completed != report->requests) {
+        std::fprintf(stderr, "  %s: only %lld of %lld completed\n", label,
+                     static_cast<long long>(report->completed),
+                     static_cast<long long>(report->requests));
         return 1;
       }
-      for (const serve::Request& req : requests) engine.value().submit(req);
-      serve::Report report = engine.value().run();
-      if (report.completed != report.requests) {
-        std::fprintf(stderr, "  %s @ %.3g: only %lld of %lld completed\n",
-                     policy.c_str(), load,
-                     static_cast<long long>(report.completed),
-                     static_cast<long long>(report.requests));
-        return 1;
-      }
-      report.workload = descriptor;
       std::fprintf(stderr,
                    "  load %.3g %-12s p99 ttft %.4gs, queue p99 %.4g ticks, "
                    "goodput %.3f, hash %u\n",
-                   load, policy.c_str(), report.p99_ttft_seconds,
-                   report.queue_delay_p99_ticks, report.goodput_under_slo,
-                   report.stream_hash);
-      rows.push_back(report.to_json());
+                   load, policy.c_str(), report->p99_ttft_seconds,
+                   report->queue_delay_p99_ticks, report->goodput_under_slo,
+                   report->stream_hash);
+      rows.push_back(report->to_json());
     }
   }
 
@@ -238,73 +258,36 @@ int main(int argc, char** argv) {
   // preemption must STRICTLY exceed goodput without, and every failed
   // request must carry a typed finish reason.
   if (!quick && prefill_chunk == 0) {
-    const double load = kLoads[std::size(kLoads) - 1];
-    serve::ArrivalSpec arrival;
-    arrival.kind = serve::ArrivalSpec::Kind::kPoisson;
-    arrival.rate = load;
-    arrival.seed = kSeed;
-    const auto ticks = serve::generate_arrivals(arrival, num_requests);
-    const auto entries = serve::shared_prefix_trace(
-        num_requests, ticks, kGroups, kPrefixLen, /*suffix_len=*/4,
-        new_tokens);
-    const auto requests =
-        serve::materialize_trace(prepared->config, entries, kSeed);
     // Window [40, 70): past the first admissions (so the engine is mid
     // decode, not idle) and wide enough that the synchronized
     // page-boundary crossings of whole batches land inside it.
     const auto plan =
         serve::parse_fault_plan("exhaust@40..70").expect("fault plan");
-    const double degraded_ttft = 10.0 * slo_ttft;
-    const double degraded_itl = 10.0 * slo_itl;
     double goodput[2] = {0.0, 0.0};
     for (const bool preempt_on : {false, true}) {
+      const std::string mode = preempt_on ? "on" : "off";
       serve::Engine::Options options;
-      options.max_batch = max_batch;
       options.policy = "prefix-aware";
-      options.accelerator =
-          accel::make_iso_area_config(spec, /*pe_area_budget_um2=*/150000.0)
-              .expect("iso-area config");
-      options.slo = serve::Slo{degraded_ttft, degraded_itl};
       options.faults = plan;
       options.preempt = preempt_on;
-      auto engine = serve::Engine::create(prepared, spec,
-                                          quant::StrategySpec::fp32(),
-                                          std::move(options));
-      if (!engine.is_ok()) {
-        std::fprintf(stderr, "  preempt pair (%s): %s\n",
-                     preempt_on ? "on" : "off",
-                     engine.message().c_str());
-        return 1;
-      }
-      for (const serve::Request& req : requests) engine.value().submit(req);
-      serve::Report report = engine.value().run();
-      for (const serve::RequestResult& r : report.results) {
-        if (!r.ok && r.reason == serve::FinishReason::kNone) {
-          std::fprintf(stderr,
-                       "  preempt pair (%s): request %d failed with an "
-                       "UNTYPED error: %s\n",
-                       preempt_on ? "on" : "off", r.id, r.error.c_str());
-          return 1;
-        }
-      }
-      report.workload = serve::describe_arrivals(arrival) +
-                        "+shared-prefix(n=" + std::to_string(num_requests) +
-                        ",groups=" + std::to_string(kGroups) +
-                        ",prefix=" + std::to_string(kPrefixLen) + ")+faults(" +
-                        plan.describe() +
-                        ")+preempt=" + (preempt_on ? "on" : "off");
-      goodput[preempt_on ? 1 : 0] = report.goodput_under_slo;
+      auto report = serve_cell("preempt pair (" + mode + ")",
+                               kLoads[std::size(kLoads) - 1],
+                               std::move(options),
+                               serve::Slo{10.0 * slo_ttft, 10.0 * slo_itl});
+      if (!report) return 1;
+      report->workload +=
+          "+faults(" + plan.describe() + ")+preempt=" + mode;
+      goodput[preempt_on ? 1 : 0] = report->goodput_under_slo;
       std::fprintf(stderr,
                    "  pair preempt=%-3s %lld/%lld completed, %lld oom, "
                    "%lld preempted %lld resumed, goodput %.3f, hash %u\n",
-                   preempt_on ? "on" : "off",
-                   static_cast<long long>(report.completed),
-                   static_cast<long long>(report.requests),
-                   static_cast<long long>(report.oom_failures),
-                   static_cast<long long>(report.preemptions),
-                   static_cast<long long>(report.resumes),
-                   report.goodput_under_slo, report.stream_hash);
-      rows.push_back(report.to_json());
+                   mode.c_str(), static_cast<long long>(report->completed),
+                   static_cast<long long>(report->requests),
+                   static_cast<long long>(report->oom_failures),
+                   static_cast<long long>(report->preemptions),
+                   static_cast<long long>(report->resumes),
+                   report->goodput_under_slo, report->stream_hash);
+      rows.push_back(report->to_json());
     }
     if (goodput[1] <= goodput[0]) {
       std::fprintf(stderr,
