@@ -11,14 +11,12 @@
 // quantised KV pages and wants a baseline refresh.
 //
 // Field rules:
-//  - model-quality and simulated-cost fields must match *exactly*
-//    (perplexity, memory footprint, energy, cycles, MAC/token/GEMM
-//    counts, stream hashes): the engines guarantee bit-identical numerics
-//    at any thread count, so any drift is a real regression;
-//  - rate-like fields (anything named *seconds*, *throughput*, *rate*,
-//    *occupancy*, *latency*, *delay*, *goodput* or *offered*, e.g.
-//    "p99_step_seconds", "queue_delay_p99_ticks", "goodput_under_slo")
-//    get a relative tolerance, ±10% by default (--tol 0.1 to override);
+//  - every row field must match *exactly* — perplexity, memory footprint,
+//    energy, cycles, MAC/token/GEMM counts, stream hashes and the
+//    simulated seconds, rates and goodput derived from them: each is a
+//    deterministic function of (model, strategies, workload), bit-identical
+//    at any thread count, so any drift is a real regression. Host
+//    wall-clock lives only in meta, which is never compared;
 //  - a field or row present in the baseline but missing from the candidate
 //    is a regression; a field or row present only in the candidate is
 //    reported as a named EXTRA warning and passes (new coverage, not lost
@@ -31,19 +29,12 @@
 // Fault-injected rows (record_serve --fault-plan / the record_slo
 // preemption pair) need no special casing: their workload descriptor
 // carries the plan ("...+faults(exhaust@40..70)+preempt=on"), so they
-// key separately from their fault-free siblings, and the robustness
-// fields route through the same name rules — preemptions, resumes,
-// preempt_recompute_tokens, timeouts, cancellations, oom_failures and
-// preempt are integer counts gated exactly, while
-// requeue_delay_mean_ticks (a *delay*) and preempt_recompute_seconds
-// (a *seconds*) take the rate tolerance.
+// key separately from their fault-free siblings.
 //
 // Every mismatch is reported before the exit code is decided: a
 // multi-field regression shows all offending fields in one CI log.
 //
-// Usage: bench_compare <baseline.json> <candidate.json>
-//                      [--tol FRACTION] [--rows-subset]
-#include <cmath>
+// Usage: bench_compare <baseline.json> <candidate.json> [--rows-subset]
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -228,35 +219,6 @@ class JsonParser {
 
 // --- Comparison -------------------------------------------------------------
 
-/// Fields allowed to drift within the relative tolerance: time- and
-/// rate-like metrics ("seconds", "throughput_gops", the serving report's
-/// "*_seconds" latencies and "throughput_tokens_per_second"), the
-/// serving engine's ratio metrics ("prefix_hit_rate", "*occupancy"), and
-/// the SLO study's queueing metrics ("*latency*", "queue_delay_*",
-/// "goodput_under_slo", "offered_tokens_per_tick") — deterministic in
-/// one build, but sensitive by design to request-mix or policy tweaks a
-/// baseline refresh shouldn't be forced for. Everything else must be
-/// bit-identical (see file header).
-bool is_rate_field(const std::string& key) {
-  // Byte footprints are exact by construction (packed KV pages, weight
-  // storage) — never rate-gated, even when a future field name picks up a
-  // rate-like word ("kv_bytes_peak_rate_limited" must stay exact).
-  if (key.find("bytes") != std::string::npos) return false;
-  // Speculative acceptance is a pure function of the model, the two
-  // strategies and the request mix — part of the engine's determinism
-  // contract, so it stays exact despite ending in "rate".
-  if (key == "acceptance_rate") return false;
-  return key.find("seconds") != std::string::npos ||
-         key.find("throughput") != std::string::npos ||
-         key.find("rate") != std::string::npos ||
-         key.find("occupancy") != std::string::npos ||
-         key.find("latency") != std::string::npos ||
-         key.find("delay") != std::string::npos ||
-         key.find("goodput") != std::string::npos ||
-         key.find("offered") != std::string::npos ||
-         key.find("speedup") != std::string::npos;
-}
-
 struct Rows {
   // key "model|matmul|nonlinear|policy|kv_format|workload[|draft]" -> row
   // object, plus file order for output
@@ -340,26 +302,20 @@ bool load_rows(const char* path, JsonValue& storage, Rows& rows) {
 int main(int argc, char** argv) {
   const char* baseline_path = nullptr;
   const char* candidate_path = nullptr;
-  double tol = 0.10;
   bool rows_subset = false;
+  const char* usage =
+      "usage: bench_compare <baseline.json> <candidate.json> "
+      "[--rows-subset]\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--rows-subset") {
       rows_subset = true;
-    } else if (arg == "--tol" && i + 1 < argc) {
-      // A typo'd tolerance must not silently become exact-match (0.0).
-      char* end = nullptr;
-      tol = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || tol < 0.0) {
-        std::fprintf(stderr, "bench_compare: bad --tol value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
-      std::fprintf(stderr,
-                   "usage: bench_compare <baseline.json> <candidate.json> "
-                   "[--tol FRACTION] [--rows-subset]\n");
+      std::fprintf(stderr, "%s", usage);
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "bench_compare: unknown option %s\n", argv[i]);
+      return 2;
     } else if (baseline_path == nullptr) {
       baseline_path = argv[i];
     } else if (candidate_path == nullptr) {
@@ -370,9 +326,7 @@ int main(int argc, char** argv) {
     }
   }
   if (baseline_path == nullptr || candidate_path == nullptr) {
-    std::fprintf(stderr,
-                 "usage: bench_compare <baseline.json> <candidate.json> "
-                 "[--tol FRACTION] [--rows-subset]\n");
+    std::fprintf(stderr, "%s", usage);
     return 2;
   }
 
@@ -441,24 +395,10 @@ int main(int argc, char** argv) {
         continue;
       }
       ++checked_fields;
-      const double b = bval.number;
-      const double c = cval->number;
-      if (is_rate_field(field)) {
-        const double denom = std::max(std::fabs(b), 1e-300);
-        const double rel = std::fabs(c - b) / denom;
-        if (rel > tol) {
-          char msg[256];
-          std::snprintf(msg, sizeof msg,
-                        "%s: %s %.6g -> %.6g (%+.1f%% > %.0f%%)", key.c_str(),
-                        field.c_str(), b, c, (c / b - 1.0) * 100.0,
-                        tol * 100.0);
-          regress(msg);
-        }
-      } else if (b != c) {
+      if (bval.number != cval->number) {
         char msg[256];
-        std::snprintf(msg, sizeof msg,
-                      "%s: %s %.17g -> %.17g (exact-match field)", key.c_str(),
-                      field.c_str(), b, c);
+        std::snprintf(msg, sizeof msg, "%s: %s %.17g -> %.17g", key.c_str(),
+                      field.c_str(), bval.number, cval->number);
         regress(msg);
       }
     }
@@ -481,9 +421,8 @@ int main(int argc, char** argv) {
     regress("--rows-subset matched no baseline row at all");
 
   std::printf("bench_compare: %zu baseline rows, %d matched, %d fields "
-              "checked, %d regression(s), %d warning(s), tolerance ±%.0f%% "
-              "on rate fields\n",
+              "checked exactly, %d regression(s), %d warning(s)\n",
               baseline.order.size(), matched_rows, checked_fields, regressions,
-              warnings, tol * 100.0);
+              warnings);
   return regressions == 0 ? 0 : 1;
 }
