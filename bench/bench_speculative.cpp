@@ -25,10 +25,9 @@
 //  3. Accounting: drafted tokens never exceed draft_cycles * k, accepted
 //     tokens never exceed drafted, and a speculative run emits the same
 //     total tokens as its target-only sibling.
-//  4. Speedup: the committed winning configuration (the INT8 self-draft
-//     at k = BBAL_SPEC_K) clears speedup_vs_target > 1.0 — batched
-//     verification must actually beat sequential decode after paying for
-//     its draft forwards.
+//
+// The speedups themselves are not gated here: BENCH_serve.json pins the
+// committed speculative rows' speedup_vs_target exactly.
 //
 // The frontier table sweeps (draft, k) per target: acceptance, speedup,
 // engine ticks and the stream hash. All on the simulated clock —
@@ -165,18 +164,6 @@ int main() {
               "tokens conserved -> %d miss(es): %s\n",
               accounting_misses, accounting_misses == 0 ? "PASS" : "FAIL");
   failures += accounting_misses == 0 ? 0 : 1;
-
-  // --- Gate 4: the committed winner actually wins ---
-  {
-    serve::Engine engine =
-        make_engine(prepared, "INT8", max_batch, "INT8", spec_k);
-    const serve::Report report = serve_mix(engine, mix);
-    const bool ok = report.speedup_vs_target > 1.0;
-    std::printf("Speedup gate: INT8<-INT8 k=%d -> %.4fx vs target-only "
-                "(bound > 1.0): %s\n",
-                spec_k, report.speedup_vs_target, ok ? "PASS" : "FAIL");
-    failures += ok ? 0 : 1;
-  }
 
   // --- Frontier: acceptance and speedup per (draft, target, k) ---
   std::printf("\nSpeculative sweep over the synthetic mix (batch %d, "

@@ -19,7 +19,12 @@ Result<AcceleratorConfig> make_iso_area_config(const quant::StrategySpec& spec,
   cfg.strategy = spec.to_string();
   cfg.dram_gbps = dram_gbps;
   const double pe_area = design.value().area_um2(hw::CellLibrary::tsmc28());
-  const auto n_pe = static_cast<int>(pe_area_budget_um2 / pe_area);
+  auto n_pe = static_cast<int>(pe_area_budget_um2 / pe_area);
+  // The quotient can land a rounding step below an exact multiple (21 x 21
+  // INT8 PEs span 147646.80000000002 um2, and that over one PE's area is
+  // 440.99999...): count the PE the budget really holds, so re-provisioning
+  // an array's own area returns the same array.
+  if (pe_area * (n_pe + 1) <= pe_area_budget_um2) ++n_pe;
   if (n_pe < 1)
     return R::error("PE area budget " + std::to_string(pe_area_budget_um2) +
                     " um2 fits no " + spec.to_string() + " PE (" +

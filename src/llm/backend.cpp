@@ -114,9 +114,10 @@ void BlockQuantMatmulBackend::matmul(const Matrix& acts, int weight_handle,
                                      Matrix& out) {
   assert(weight_handle >= 0 &&
          weight_handle < static_cast<int>(quantised_weights_.size()));
-  // The quantised-activation scratch is a member so the decode loop's
-  // steady state allocates nothing; backends are single-session objects
-  // (see bbal/registry.hpp), so matmul() is never re-entered.
+  // The quantised-activation scratch is a member, so the activation
+  // matrix is not reallocated per call (block encoding still allocates;
+  // ROADMAP item 3(a)); backends are single-session objects (see
+  // bbal/registry.hpp), so matmul() is never re-entered.
   quantise_activations_into(acts, act_scratch_);
   llm::matmul(act_scratch_,
               quantised_weights_[static_cast<std::size_t>(weight_handle)],

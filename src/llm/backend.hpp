@@ -109,7 +109,8 @@ class BlockQuantMatmulBackend final : public MatmulBackend {
   /// Quantise activations row-block-wise (exposed for tests/analysis).
   [[nodiscard]] Matrix quantise_activations(const Matrix& acts) const;
   /// Row-block-wise activation quantisation into a caller-owned matrix
-  /// (resized to acts' shape): the allocation-free path matmul() runs on.
+  /// (resized to acts' shape, reusing its storage): the path matmul()
+  /// runs on.
   void quantise_activations_into(const Matrix& acts, Matrix& q) const;
   /// Quantise a weight matrix column-block-wise along K (exposed for tests).
   [[nodiscard]] Matrix quantise_weights(const Matrix& w) const;

@@ -154,10 +154,12 @@ class Decoder {
   ///
   /// tokens and views must be the same non-zero size, views non-null and
   /// distinct. logits_out is resized to (batch x vocab) reusing its
-  /// storage; together with the decoder's persistent per-layer workspace
-  /// this makes the steady-state loop allocation-free. Rows follow the
-  /// caller's order, so retiring or back-filling sequences between calls
-  /// just changes which views are passed.
+  /// storage, and the decoder's per-layer workspace persists across
+  /// calls. The step still allocates — per-block activation quantisation
+  /// and KV page decode buffers (perfbench's host.allocs_per_token;
+  /// ROADMAP item 3(a)). Rows follow the caller's order, so retiring or
+  /// back-filling sequences between calls just changes which views are
+  /// passed.
   void step_batch(std::span<const int> tokens,
                   std::span<KVCacheView* const> views, Matrix& logits_out);
 
@@ -217,7 +219,8 @@ class Decoder {
  private:
   /// Per-layer scratch reused across step_batch calls (and by the
   /// single-token step() overloads, which run as a batch of one): after
-  /// the first call at a given batch size and context, no step allocates.
+  /// the first call at a given batch size and context, these buffers are
+  /// not reallocated.
   struct BatchWorkspace {
     Matrix x;         ///< running hidden state, batch x d_model
     Matrix normed;    ///< RMSNorm input copy (attention + MLP)

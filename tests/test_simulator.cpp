@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "accel/gemm_executor.hpp"
+#include "bbal/registry.hpp"
 #include "common/rng.hpp"
 #include "llm/backend.hpp"
+#include "quant/strategy.hpp"
 
 namespace bbal::accel {
 namespace {
@@ -93,6 +95,28 @@ TEST(IsoArea, PeCountsScaleInverselyWithPeArea) {
   // Both fit the budget.
   EXPECT_LE(bfp4.pe_array_area_um2(), budget * 1.02);
   EXPECT_LE(bbfp31.pe_array_area_um2(), budget * 1.02);
+}
+
+TEST(IsoArea, ReprovisioningAnArraysOwnAreaKeepsItsPeCount) {
+  // An array's own PE area must buy back exactly its PE count: a self-
+  // draft priced on an iso-area re-provisioning of the target's silicon
+  // runs on the target's array, not one PE short of it.
+  std::vector<std::string> strategies = table2_strategies();
+  strategies.insert(strategies.end(), {"FP32", "INT8", "INT4", "BFP8"});
+  int checked = 0;
+  for (const std::string& name : strategies) {
+    const quant::StrategySpec spec = quant::spec_of(name);
+    if (!BackendRegistry::instance().has_cost_model(spec)) continue;
+    const AcceleratorConfig cfg =
+        make_iso_area_config(spec, 150000.0).expect("iso-area config");
+    const AcceleratorConfig again =
+        make_iso_area_config(spec, cfg.pe_array_area_um2())
+            .expect("re-provisioned config");
+    EXPECT_EQ(again.pe_count(), cfg.pe_count()) << name;
+    EXPECT_EQ(again.array_rows, cfg.array_rows) << name;
+    ++checked;
+  }
+  EXPECT_GE(checked, 8);
 }
 
 TEST(IsoArea, HeadlineClaim_Bbfp31FasterThanBfp4) {

@@ -598,10 +598,10 @@ int main(int argc, char** argv) {
   // tool enforces that here, so a committed speculative row can never
   // disagree with the baseline it claims to accelerate. The pairs span
   // the interesting frontier: the INT8 self-draft (acceptance exactly
-  // 1.0, so its speedup isolates what batched verification costs against
-  // sequential decode), the best cross-tier pair (a high-fidelity
-  // BBFP(6,3) draft under the INT8 target), and the self-draft reference
-  // on the paper's headline BBFP(4,2) format.
+  // 1.0 on the target's own array, so it cannot clear parity), the best
+  // cross-tier pair (a high-fidelity BBFP(6,3) draft under the INT8
+  // target), and the self-draft reference on the paper's headline
+  // BBFP(4,2) format.
   if (committed) {
     struct SpecPair {
       const char* target;
