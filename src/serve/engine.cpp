@@ -78,8 +78,8 @@ struct InFlight {
   PagedKVPool::SeqId draft_seq = -1;
   PagedKVView draft_view;
   std::vector<int> proposals;  ///< this cycle's drafted tokens
-  int tick_base = 0;     ///< target KV length at tick start
-  int tick_emitted = 0;  ///< tokens emitted by this tick (0..spec_k+1)
+  int tick_base = 0;           ///< target KV length at tick start
+  int tick_emitted = 0;        ///< tokens emitted by this tick (0..spec_k+1)
 };
 
 }  // namespace
@@ -329,7 +329,8 @@ struct Engine::Run {
   /// With one shared pipeline a "slot" is just admission headroom: how
   /// many more requests this tick's fused batch may carry.
   int free_slots = opt.max_batch;
-  bool frozen = false;  ///< fault-plan exhaustion window covers this tick
+  /// A fault-plan exhaustion window covers this tick.
+  bool frozen = false;
   double tick_seconds = 0.0;  ///< this tick's simulated latency
 
   // --- Per-tick scratch, reused across ticks ---
@@ -347,8 +348,11 @@ struct Engine::Run {
   std::vector<accel::GemmShape> equiv_workload;  ///< target-only pricing
 
   // --- Run accumulators ---
-  double sim_makespan = 0.0;  ///< sum of per-tick simulated latencies
-  double target_equiv_seconds = 0.0;  ///< counterfactual (speculative runs)
+  /// Sum of per-tick simulated latencies: ticks run sequentially on the
+  /// shared accelerator, so this is the run's simulated makespan.
+  double sim_makespan = 0.0;
+  /// What a target-only engine would have spent (speculative runs).
+  double target_equiv_seconds = 0.0;
   std::vector<double> token_latencies;   ///< simulated, per emitted token
   std::vector<double> inter_token_gaps;  ///< gaps between a request's tokens
   accel::EnergyBreakdown energy;
@@ -528,6 +532,16 @@ struct Engine::Run {
     return kv.stats().pages_in_use + pending + needed <= kv.max_pages();
   }
 
+  /// A deadline the request cannot make even if it ran every remaining
+  /// tick from now.
+  bool at_risk(std::size_t index) const {
+    const Request& req = requests[index];
+    return req.deadline_tick > 0 &&
+           req.deadline_tick - clock <=
+               static_cast<std::int64_t>(prompt_of(index).size()) +
+                   req.max_new_tokens;
+  }
+
   /// Give a flight's pages back (shared pages survive via their
   /// refcounts) and free its batch slot.
   void release(InFlight& flight) {
@@ -568,11 +582,11 @@ struct Engine::Run {
   bool expire(std::size_t index, InFlight* flight) {
     const Request& req = requests[index];
     const std::int64_t cancel_at = state[index].cancel_at;
+    const std::size_t emitted = report.results[index].generated.size();
     const std::string progress =
-        flight == nullptr
-            ? ""
-            : " with " + std::to_string(report.results[index].generated.size()) +
-                  " of " + std::to_string(req.max_new_tokens) + " tokens";
+        flight == nullptr ? ""
+                          : " with " + std::to_string(emitted) + " of " +
+                                std::to_string(req.max_new_tokens) + " tokens";
     if (cancel_at >= 0 && clock >= cancel_at) {
       retire(index, flight, FinishReason::kCancelled,
              "cancelled: fault-plan cancellation at tick " +
@@ -687,13 +701,8 @@ struct Engine::Run {
     // even its remaining token count claims a slot from a decoding flight
     // rather than waiting out a completion.
     if (opt.preempt && !frozen && free_slots == 0 &&
-        std::any_of(waiting.begin(), waiting.end(), [&](std::size_t index) {
-          const Request& req = requests[index];
-          return req.deadline_tick > 0 &&
-                 req.deadline_tick - clock <=
-                     static_cast<std::int64_t>(prompt_of(index).size()) +
-                         req.max_new_tokens;
-        }))
+        std::any_of(waiting.begin(), waiting.end(),
+                    [&](std::size_t index) { return at_risk(index); }))
       (void)try_preempt();
     while (!frozen && !waiting.empty() && free_slots > 0) {
       std::vector<std::size_t> prefilling;
@@ -709,9 +718,8 @@ struct Engine::Run {
       const std::size_t index = *at;
       // Under preemption, pool pressure is absorbed by suspending decoding
       // flights instead of waiting for retirements.
-      if (opt.preempt)
-        while (!fits(index) && try_preempt()) {
-        }
+      bool progress = opt.preempt;
+      while (progress && !fits(index)) progress = try_preempt();
       if (!fits(index)) {
         if (!active.empty()) break;  // retirements will free pages
         // Nothing running: reclaim shareable pages, then either the
@@ -1220,8 +1228,6 @@ struct Engine::Run {
                                static_cast<double>(report.drafted_tokens);
     if (report.has_cost && e.speculative() && sim_makespan > 0.0)
       report.speedup_vs_target = target_equiv_seconds / sim_makespan;
-    // Ticks run sequentially on the shared accelerator, so the simulated
-    // makespan of the run is the sum of per-tick latencies.
     report.total_seconds = sim_makespan;
     if (report.has_cost && sim_makespan > 0.0)
       report.throughput_tokens_per_second =
