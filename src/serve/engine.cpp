@@ -714,8 +714,9 @@ struct Engine::Run {
         if (!active.empty()) break;
         pick = 0;
       }
-      const auto at = waiting.begin() + pick;
-      const std::size_t index = *at;
+      // Erased by position below: try_preempt() appends to `waiting`,
+      // which invalidates every deque iterator.
+      const std::size_t index = waiting[static_cast<std::size_t>(pick)];
       // Under preemption, pool pressure is absorbed by suspending decoding
       // flights instead of waiting for retirements.
       bool progress = opt.preempt;
@@ -726,7 +727,7 @@ struct Engine::Run {
         // request fits or it never will.
         kv.drop_registered_prefixes();
         if (!fits(index)) {
-          waiting.erase(at);
+          waiting.erase(waiting.begin() + pick);
           retire(index, nullptr, FinishReason::kOom,
                  "request needs " +
                      std::to_string(kv.pages_for(total_positions(index))) +
@@ -735,7 +736,7 @@ struct Engine::Run {
           continue;
         }
       }
-      waiting.erase(at);
+      waiting.erase(waiting.begin() + pick);
       start_flight(index);
     }
     if (!active.empty()) return true;
@@ -746,6 +747,9 @@ struct Engine::Run {
     return false;
   }
 
+  /// Admit `index` into a free slot: a fresh pool sequence (attached to a
+  /// registered prompt prefix under a sharing policy), resuming the
+  /// request's clocks when it was suspended.
   void start_flight(std::size_t index) {
     --free_slots;
     const std::vector<int>& prompt = prompt_of(index);
