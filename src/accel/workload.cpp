@@ -64,17 +64,6 @@ std::vector<GemmShape> prefill_chunk_gemms(const llm::ModelConfig& cfg,
   return gemms;
 }
 
-std::vector<NlOp> prefill_nl_ops(const llm::ModelConfig& cfg, int seq) {
-  std::vector<NlOp> ops;
-  // Causal rows average seq/2 visible entries.
-  ops.push_back({NlOp::Kind::kSoftmax,
-                 static_cast<std::int64_t>(cfg.n_heads) * cfg.n_layers * seq,
-                 std::max(1, seq / 2)});
-  ops.push_back({NlOp::Kind::kSilu,
-                 static_cast<std::int64_t>(cfg.n_layers) * seq, cfg.d_ff});
-  return ops;
-}
-
 std::int64_t total_macs(const std::vector<GemmShape>& gemms) {
   std::int64_t total = 0;
   for (const GemmShape& g : gemms) total += g.macs();

@@ -59,11 +59,6 @@ struct NlOp {
 [[nodiscard]] std::vector<GemmShape> prefill_chunk_gemms(
     const llm::ModelConfig& cfg, int base, int chunk);
 
-/// Nonlinear ops of a prefill pass (seq softmaxes of average width seq/2
-/// per head per layer; seq SiLU rows).
-[[nodiscard]] std::vector<NlOp> prefill_nl_ops(const llm::ModelConfig& cfg,
-                                               int seq);
-
 /// Total MAC count of a GEMM list.
 [[nodiscard]] std::int64_t total_macs(const std::vector<GemmShape>& gemms);
 

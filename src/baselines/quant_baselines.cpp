@@ -7,8 +7,6 @@
 
 namespace bbal::baselines {
 
-using llm::Matrix;
-
 namespace {
 
 /// Symmetric round-to-nearest onto a (2^(bits-1) - 1)-level grid.
@@ -26,90 +24,22 @@ float absmax(std::span<const float> xs) {
   return m;
 }
 
-/// In-place per-row quantisation with a caller-provided vector quantiser.
-template <typename Fn>
-Matrix quantise_rows_with(const Matrix& m, Fn&& fn) {
-  Matrix q(m.rows(), m.cols());
-  for (int r = 0; r < m.rows(); ++r) fn(m.row(r), q.row(r));
-  return q;
-}
-
-/// Column-wise quantisation (weights are K x N; channels are columns).
-template <typename Fn>
-Matrix quantise_cols_with(const Matrix& m, Fn&& fn) {
-  Matrix q(m.rows(), m.cols());
-  std::vector<float> buf(static_cast<std::size_t>(m.rows()));
-  std::vector<float> out(static_cast<std::size_t>(m.rows()));
-  for (int c = 0; c < m.cols(); ++c) {
-    for (int r = 0; r < m.rows(); ++r)
-      buf[static_cast<std::size_t>(r)] = m.at(r, c);
-    fn(std::span<const float>(buf), std::span<float>(out));
-    for (int r = 0; r < m.rows(); ++r)
-      q.at(r, c) = out[static_cast<std::size_t>(r)];
-  }
-  return q;
-}
-
 }  // namespace
 
 // --- IntQuantBackend --------------------------------------------------------
 
-IntQuantBackend::IntQuantBackend(int weight_bits, int act_bits)
-    : weight_bits_(weight_bits), act_bits_(act_bits) {
-  assert(weight_bits >= 2 && act_bits >= 2);
-}
+IntQuantBackend::IntQuantBackend(int bits) : bits_(bits) { assert(bits >= 2); }
 
 std::string IntQuantBackend::name() const {
-  return "INT" + std::to_string(weight_bits_);
+  return "INT" + std::to_string(bits_);
 }
 
-void IntQuantBackend::quantise_per_row_into(const Matrix& m, int bits,
-                                            Matrix& q) const {
-  q.resize(m.rows(), m.cols());
-  for (int r = 0; r < m.rows(); ++r) {
-    const std::span<const float> in = m.row(r);
-    const std::span<float> out = q.row(r);
-    const float scale =
-        absmax(in) / static_cast<float>((1 << (bits - 1)) - 1);
-    for (std::size_t i = 0; i < in.size(); ++i)
-      out[i] = snap(in[i], scale, bits);
-  }
-}
-
-Matrix IntQuantBackend::quantise_per_row(const Matrix& m, int bits) const {
-  Matrix q;
-  quantise_per_row_into(m, bits, q);
-  return q;
-}
-
-Matrix IntQuantBackend::quantise_per_col(const Matrix& m, int bits) const {
-  return quantise_cols_with(m, [bits](std::span<const float> in,
-                                      std::span<float> out) {
-    const float scale =
-        absmax(in) / static_cast<float>((1 << (bits - 1)) - 1);
-    for (std::size_t i = 0; i < in.size(); ++i)
-      out[i] = snap(in[i], scale, bits);
-  });
-}
-
-int IntQuantBackend::prepare_weights(const Matrix& w, const std::string& tag) {
-  (void)tag;
-  weights_.push_back(quantise_per_col(w, weight_bits_));
-  return static_cast<int>(weights_.size()) - 1;
-}
-
-void IntQuantBackend::matmul(const Matrix& acts, int weight_handle,
-                             Matrix& out) {
-  // Member scratch: per-row quantisation writes acts' shape, so in a
-  // steady-state decode loop this reuses one buffer (no allocation).
-  quantise_per_row_into(acts, act_bits_, act_scratch_);
-  llm::matmul(act_scratch_, weights_[static_cast<std::size_t>(weight_handle)],
-              out);
-}
-
-void IntQuantBackend::matmul_dynamic(const Matrix& a, const Matrix& b,
-                                     Matrix& out) {
-  llm::matmul(a, b, out);  // act-act GEMMs run on the FP path (see backend.cpp)
+void IntQuantBackend::quantise_vector(std::span<const float> in,
+                                      std::span<float> out) const {
+  assert(in.size() == out.size());
+  const float scale = absmax(in) / static_cast<float>((1 << (bits_ - 1)) - 1);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    out[i] = snap(in[i], scale, bits_);
 }
 
 // --- OltronBackend ----------------------------------------------------------
@@ -153,37 +83,6 @@ void OltronBackend::quantise_vector(std::span<const float> in,
     for (std::size_t i = start; i < start + len; ++i)
       out[i] = snap(in[i], scale, bits);
   }
-}
-
-Matrix OltronBackend::quantise_rows(const Matrix& m) const {
-  return quantise_rows_with(
-      m, [this](std::span<const float> in, std::span<float> out) {
-        quantise_vector(in, out);
-      });
-}
-
-Matrix OltronBackend::quantise_cols(const Matrix& m) const {
-  return quantise_cols_with(
-      m, [this](std::span<const float> in, std::span<float> out) {
-        quantise_vector(in, out);
-      });
-}
-
-int OltronBackend::prepare_weights(const Matrix& w, const std::string& tag) {
-  (void)tag;
-  weights_.push_back(quantise_cols(w));
-  return static_cast<int>(weights_.size()) - 1;
-}
-
-void OltronBackend::matmul(const Matrix& acts, int weight_handle,
-                           Matrix& out) {
-  const Matrix qa = quantise_rows(acts);
-  llm::matmul(qa, weights_[static_cast<std::size_t>(weight_handle)], out);
-}
-
-void OltronBackend::matmul_dynamic(const Matrix& a, const Matrix& b,
-                                   Matrix& out) {
-  llm::matmul(a, b, out);  // act-act GEMMs run on the FP path
 }
 
 // --- OliveBackend -----------------------------------------------------------
@@ -237,37 +136,6 @@ void OliveBackend::quantise_vector(std::span<const float> in,
   }
 }
 
-Matrix OliveBackend::quantise_rows(const Matrix& m) const {
-  return quantise_rows_with(
-      m, [this](std::span<const float> in, std::span<float> out) {
-        quantise_vector(in, out);
-      });
-}
-
-Matrix OliveBackend::quantise_cols(const Matrix& m) const {
-  return quantise_cols_with(
-      m, [this](std::span<const float> in, std::span<float> out) {
-        quantise_vector(in, out);
-      });
-}
-
-int OliveBackend::prepare_weights(const Matrix& w, const std::string& tag) {
-  (void)tag;
-  weights_.push_back(quantise_cols(w));
-  return static_cast<int>(weights_.size()) - 1;
-}
-
-void OliveBackend::matmul(const Matrix& acts, int weight_handle,
-                          Matrix& out) {
-  const Matrix qa = quantise_rows(acts);
-  llm::matmul(qa, weights_[static_cast<std::size_t>(weight_handle)], out);
-}
-
-void OliveBackend::matmul_dynamic(const Matrix& a, const Matrix& b,
-                                  Matrix& out) {
-  llm::matmul(a, b, out);  // act-act GEMMs run on the FP path
-}
-
 // --- OmniquantBackend -------------------------------------------------------
 
 OmniquantBackend::OmniquantBackend(int weight_bits, int act_bits)
@@ -300,63 +168,32 @@ void OmniquantBackend::quantise_channel_clip_search(std::span<const float> in,
     out[i] = snap(std::clamp(in[i], -best_clip, best_clip), scale, bits);
 }
 
-int OmniquantBackend::prepare_weights(const Matrix& w,
-                                      const std::string& tag) {
-  (void)tag;
-  const int bits = weight_bits_;
-  weights_.push_back(quantise_cols_with(
-      w, [bits](std::span<const float> in, std::span<float> out) {
-        quantise_channel_clip_search(in, out, bits);
-      }));
-  return static_cast<int>(weights_.size()) - 1;
-}
-
-void OmniquantBackend::matmul(const Matrix& acts, int weight_handle,
-                              Matrix& out) {
-  // Learnable-equivalent-transformation emulation: migrate per-channel
-  // activation outlier scale out of the activations before per-token
-  // quantisation and fold it back afterwards (mathematically neutral, but
-  // the quantisation grid becomes per-channel aware — OmniQuant's LET).
-  const int cols = acts.cols();
-  std::vector<float> chan_max(static_cast<std::size_t>(cols), 0.0f);
-  for (int r = 0; r < acts.rows(); ++r) {
-    const std::span<const float> row = acts.row(r);
-    for (int c = 0; c < cols; ++c)
-      chan_max[static_cast<std::size_t>(c)] =
-          std::max(chan_max[static_cast<std::size_t>(c)],
-                   std::fabs(row[static_cast<std::size_t>(c)]));
+void OmniquantBackend::quantise_activation_row(std::span<const float> in,
+                                               std::span<float> out) const {
+  assert(in.size() == out.size());
+  if (in.empty()) return;
+  // Learnable-equivalent-transformation emulation: migrate each channel's
+  // outlier scale out of the row before quantisation and fold it back
+  // afterwards (mathematically neutral, but the quantisation grid becomes
+  // channel-aware — OmniQuant's LET). The statistic is the row's own
+  // magnitudes against their median, so a token's grid never depends on
+  // another token.
+  const std::size_t n = in.size();
+  std::vector<float> smooth(n);
+  for (std::size_t c = 0; c < n; ++c) smooth[c] = std::fabs(in[c]);
+  std::vector<float> sorted = smooth;
+  const auto median = sorted.begin() + static_cast<std::ptrdiff_t>(n / 2);
+  std::nth_element(sorted.begin(), median, sorted.end());
+  const float typical = std::max(*median, 1e-6f);
+  std::vector<float> scaled(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    const float ratio = smooth[c] / typical;
+    smooth[c] = ratio > 1.0f ? std::sqrt(ratio) : 1.0f;
+    scaled[c] = in[c] / smooth[c];
   }
-  std::vector<float> sorted = chan_max;
-  std::sort(sorted.begin(), sorted.end());
-  const float typical =
-      std::max(sorted[sorted.size() / 2], 1e-6f);  // median channel max
-  std::vector<float> smooth(static_cast<std::size_t>(cols), 1.0f);
-  for (int c = 0; c < cols; ++c) {
-    const float ratio = chan_max[static_cast<std::size_t>(c)] / typical;
-    if (ratio > 1.0f)
-      smooth[static_cast<std::size_t>(c)] = std::sqrt(ratio);
-  }
-
-  Matrix scaled(acts.rows(), acts.cols());
-  for (int r = 0; r < acts.rows(); ++r)
-    for (int c = 0; c < cols; ++c)
-      scaled.at(r, c) = acts.at(r, c) / smooth[static_cast<std::size_t>(c)];
-
-  const int bits = act_bits_;
-  Matrix qa = quantise_rows_with(
-      scaled, [bits](std::span<const float> in, std::span<float> out_row) {
-        quantise_channel_clip_search(in, out_row, bits);
-      });
+  quantise_channel_clip_search(scaled, out, act_bits_);
   // Fold the smoothing back (exact: only rescales the quantised grid).
-  for (int r = 0; r < qa.rows(); ++r)
-    for (int c = 0; c < cols; ++c)
-      qa.at(r, c) *= smooth[static_cast<std::size_t>(c)];
-  llm::matmul(qa, weights_[static_cast<std::size_t>(weight_handle)], out);
-}
-
-void OmniquantBackend::matmul_dynamic(const Matrix& a, const Matrix& b,
-                                      Matrix& out) {
-  llm::matmul(a, b, out);  // act-act GEMMs run on the FP path
+  for (std::size_t c = 0; c < n; ++c) out[c] *= smooth[c];
 }
 
 }  // namespace bbal::baselines

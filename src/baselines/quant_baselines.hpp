@@ -1,136 +1,119 @@
 // Behavioural emulations of the quantisation baselines the paper compares
 // against in Table II / Fig. 8: INT-k, Oltron (outlier budget), Olive
-// (outlier-victim pairs) and OmniQuant (clip search). See DESIGN.md for the
-// emulation fidelity notes — these reproduce each method's failure mode, not
-// its exact published kernels.
+// (outlier-victim pairs) and OmniQuant (clip search). They reproduce each
+// method's failure mode, not its exact published kernels. Each is a
+// weight-column and an activation-row quantiser on
+// llm::QuantisedMatmulBackend.
 #pragma once
 
 #include "llm/backend.hpp"
 
 namespace bbal::baselines {
 
-/// Symmetric INT-k fake-quant: per-output-channel (column) weight scales,
-/// per-token (row) activation scales, absmax calibration.
-class IntQuantBackend final : public llm::MatmulBackend {
+/// Symmetric INT-k fake-quant with absmax calibration: one scale per
+/// weight column (output channel) and per activation row (token).
+class IntQuantBackend final : public llm::QuantisedMatmulBackend {
  public:
-  IntQuantBackend(int weight_bits, int act_bits);
-
-  int prepare_weights(const llm::Matrix& w, const std::string& tag) override;
-  void matmul(const llm::Matrix& acts, int weight_handle,
-              llm::Matrix& out) override;
-  void matmul_dynamic(const llm::Matrix& a, const llm::Matrix& b,
-                      llm::Matrix& out) override;
-  [[nodiscard]] std::int64_t weights_bytes() const override {
-    return llm::matrices_bytes(weights_);
-  }
+  explicit IntQuantBackend(int bits);
   [[nodiscard]] std::string name() const override;
 
-  [[nodiscard]] llm::Matrix quantise_per_row(const llm::Matrix& m,
-                                             int bits) const;
-  [[nodiscard]] llm::Matrix quantise_per_col(const llm::Matrix& m,
-                                             int bits) const;
+  /// Quantise one vector onto the symmetric grid its absmax sets.
+  void quantise_vector(std::span<const float> in, std::span<float> out) const;
+
+ protected:
+  void quantise_weight_column(std::span<const float> in,
+                              std::span<float> out) const override {
+    quantise_vector(in, out);
+  }
+  void quantise_activation_row(std::span<const float> in,
+                               std::span<float> out) const override {
+    quantise_vector(in, out);
+  }
 
  private:
-  /// Per-row quantisation into a caller-owned matrix (resized to m's
-  /// shape): the one implementation both quantise_per_row and the
-  /// allocation-free matmul() path share.
-  void quantise_per_row_into(const llm::Matrix& m, int bits,
-                             llm::Matrix& q) const;
-
-  int weight_bits_;
-  int act_bits_;
-  std::vector<llm::Matrix> weights_;
-  llm::Matrix act_scratch_;  ///< reused by matmul(); rows quantised per call
+  int bits_;
 };
 
 /// Oltron: group-wise low-bit quantisation (3-bit magnitude grid) with a
-/// fixed budget of groups promoted to 8 bits — chosen per tensor by group
+/// fixed budget of groups promoted to 8 bits — chosen per vector by group
 /// absmax. Works when outliers fit the budget (OPT-like), degrades when
 /// they do not (Llama-like): the paper's Fig. 8 discussion.
-class OltronBackend final : public llm::MatmulBackend {
+class OltronBackend final : public llm::QuantisedMatmulBackend {
  public:
   explicit OltronBackend(double outlier_budget = 0.03, int group = 32,
                          int low_bits = 4, int high_bits = 8);
-
-  int prepare_weights(const llm::Matrix& w, const std::string& tag) override;
-  void matmul(const llm::Matrix& acts, int weight_handle,
-              llm::Matrix& out) override;
-  void matmul_dynamic(const llm::Matrix& a, const llm::Matrix& b,
-                      llm::Matrix& out) override;
-  [[nodiscard]] std::int64_t weights_bytes() const override {
-    return llm::matrices_bytes(weights_);
-  }
   [[nodiscard]] std::string name() const override { return "Oltron"; }
 
   /// Quantise a contiguous vector in `group`-sized chunks with the budget
-  /// rule (exposed for tests).
+  /// rule.
   void quantise_vector(std::span<const float> in, std::span<float> out) const;
 
- private:
-  [[nodiscard]] llm::Matrix quantise_rows(const llm::Matrix& m) const;
-  [[nodiscard]] llm::Matrix quantise_cols(const llm::Matrix& m) const;
+ protected:
+  void quantise_weight_column(std::span<const float> in,
+                              std::span<float> out) const override {
+    quantise_vector(in, out);
+  }
+  void quantise_activation_row(std::span<const float> in,
+                               std::span<float> out) const override {
+    quantise_vector(in, out);
+  }
 
+ private:
   double outlier_budget_;
   int group_;
   int low_bits_;
   int high_bits_;
-  std::vector<llm::Matrix> weights_;
 };
 
 /// Olive: outlier-victim pair quantisation. The grid is scaled for the bulk
 /// (percentile-based); a value beyond the grid steals its neighbour's slot
 /// (the victim is zeroed) to gain range. When outliers collide or exceed
 /// even the extended range they clip — the blow-up Table II shows.
-class OliveBackend final : public llm::MatmulBackend {
+class OliveBackend final : public llm::QuantisedMatmulBackend {
  public:
   explicit OliveBackend(int bits = 4, double bulk_percentile = 92.0);
-
-  int prepare_weights(const llm::Matrix& w, const std::string& tag) override;
-  void matmul(const llm::Matrix& acts, int weight_handle,
-              llm::Matrix& out) override;
-  void matmul_dynamic(const llm::Matrix& a, const llm::Matrix& b,
-                      llm::Matrix& out) override;
-  [[nodiscard]] std::int64_t weights_bytes() const override {
-    return llm::matrices_bytes(weights_);
-  }
   [[nodiscard]] std::string name() const override { return "Olive"; }
 
   void quantise_vector(std::span<const float> in, std::span<float> out) const;
 
- private:
-  [[nodiscard]] llm::Matrix quantise_rows(const llm::Matrix& m) const;
-  [[nodiscard]] llm::Matrix quantise_cols(const llm::Matrix& m) const;
+ protected:
+  void quantise_weight_column(std::span<const float> in,
+                              std::span<float> out) const override {
+    quantise_vector(in, out);
+  }
+  void quantise_activation_row(std::span<const float> in,
+                               std::span<float> out) const override {
+    quantise_vector(in, out);
+  }
 
+ private:
   int bits_;
   double bulk_percentile_;
-  std::vector<llm::Matrix> weights_;
 };
 
 /// OmniQuant: INT4 weights with per-channel clip-ratio search (MSE-optimal
-/// over a grid — the PTQ analogue of its learnable clipping), INT6 per-token
-/// activations.
-class OmniquantBackend final : public llm::MatmulBackend {
+/// over a grid — the PTQ analogue of its learnable clipping), INT6
+/// per-token activations behind a smoothing (LET) step.
+class OmniquantBackend final : public llm::QuantisedMatmulBackend {
  public:
-  OmniquantBackend(int weight_bits = 4, int act_bits = 6);
-
-  int prepare_weights(const llm::Matrix& w, const std::string& tag) override;
-  void matmul(const llm::Matrix& acts, int weight_handle,
-              llm::Matrix& out) override;
-  void matmul_dynamic(const llm::Matrix& a, const llm::Matrix& b,
-                      llm::Matrix& out) override;
-  [[nodiscard]] std::int64_t weights_bytes() const override {
-    return llm::matrices_bytes(weights_);
-  }
+  explicit OmniquantBackend(int weight_bits = 4, int act_bits = 6);
   [[nodiscard]] std::string name() const override { return "OmniQuant"; }
 
   /// Clip-search quantisation of one channel (exposed for tests).
   static void quantise_channel_clip_search(std::span<const float> in,
                                            std::span<float> out, int bits);
 
+ protected:
+  void quantise_weight_column(std::span<const float> in,
+                              std::span<float> out) const override {
+    quantise_channel_clip_search(in, out, weight_bits_);
+  }
+  void quantise_activation_row(std::span<const float> in,
+                               std::span<float> out) const override;
+
  private:
   int weight_bits_;
   int act_bits_;
-  std::vector<llm::Matrix> weights_;
 };
 
 }  // namespace bbal::baselines

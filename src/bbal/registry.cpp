@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "baselines/quant_baselines.hpp"
+#include "hw/datapath_designs.hpp"
 #include "nl/backends.hpp"
 
 namespace bbal {
@@ -90,14 +91,8 @@ Result<BackendCapabilities> BackendRegistry::capabilities(
   return entry->caps;
 }
 
-bool BackendRegistry::supports_dynamic_matmul(const StrategySpec& spec) const {
-  const std::optional<Entry> entry = find(spec.family);
-  return entry && entry->caps.dynamic_matmul_quantised;
-}
-
 bool BackendRegistry::has_cost_model(const StrategySpec& spec) const {
-  const std::optional<Entry> entry = find(spec.family);
-  return entry && entry->caps.cost_model;
+  return hw::pe_for_spec(spec).is_ok();
 }
 
 bool BackendRegistry::is_known(std::string_view name) const {
@@ -114,6 +109,10 @@ using NonlinearPtr = std::unique_ptr<llm::NonlinearBackend>;
 using MatmulR = Result<MatmulPtr>;
 using NonlinearR = Result<NonlinearPtr>;
 
+MatmulR make_int_matmul(const StrategySpec& spec) {
+  return MatmulPtr(std::make_unique<baselines::IntQuantBackend>(spec.bits));
+}
+
 MatmulR make_block_matmul(const StrategySpec& spec) {
   auto fmt = spec.block_format();
   if (!fmt.is_ok()) return MatmulR::error(fmt.message());
@@ -129,105 +128,67 @@ NonlinearR make_lut_nonlinear(const StrategySpec& spec) {
       fmt.value(), do_softmax, do_silu));
 }
 
+/// A matmul strategy with no parameters: its default-constructed backend.
+template <typename Backend>
+MatmulR make_default_matmul(const StrategySpec&) {
+  return MatmulPtr(std::make_unique<Backend>());
+}
+
+constexpr BackendCapabilities kMatmulOnly{.matmul = true};
+constexpr BackendCapabilities kNonlinearOnly{.nonlinear = true};
+
 // FP32 / FP16 (FP16 numerics are modelled as FP32, as in the seed): the
-// reference backends, no quantised dynamic path, FP16 priced by the hw
-// model, FP32 purely functional.
+// reference backends, FP16 priced by the hw model, FP32 purely functional.
 const BackendRegistrar kFp32(
-    StrategyFamily::kFp32,
-    {.matmul = true, .nonlinear = true, .dynamic_matmul_quantised = false,
-     .cost_model = false},
-    [](const StrategySpec&) -> MatmulR {
-      return MatmulPtr(std::make_unique<llm::Fp32MatmulBackend>());
-    },
+    StrategyFamily::kFp32, {.matmul = true, .nonlinear = true},
+    make_default_matmul<llm::Fp32MatmulBackend>,
     [](const StrategySpec&) -> NonlinearR {
       return NonlinearPtr(std::make_unique<llm::Fp32NonlinearBackend>());
     });
 
-const BackendRegistrar kFp16(
-    StrategyFamily::kFp16,
-    {.matmul = true, .nonlinear = false, .dynamic_matmul_quantised = false,
-     .cost_model = true},
-    [](const StrategySpec&) -> MatmulR {
-      return MatmulPtr(std::make_unique<llm::Fp32MatmulBackend>());
-    },
-    nullptr);
+const BackendRegistrar kFp16(StrategyFamily::kFp16, kMatmulOnly,
+                             make_default_matmul<llm::Fp32MatmulBackend>,
+                             nullptr);
 
-const BackendRegistrar kInt(
-    StrategyFamily::kInt,
-    {.matmul = true, .nonlinear = false, .dynamic_matmul_quantised = true,
-     .cost_model = true},
-    [](const StrategySpec& spec) -> MatmulR {
-      return MatmulPtr(
-          std::make_unique<baselines::IntQuantBackend>(spec.bits, spec.bits));
-    },
-    nullptr);
+const BackendRegistrar kInt(StrategyFamily::kInt, kMatmulOnly, make_int_matmul,
+                            nullptr);
 
-const BackendRegistrar kBfp(
-    StrategyFamily::kBfp,
-    {.matmul = true, .nonlinear = false, .dynamic_matmul_quantised = true,
-     .cost_model = true},
-    make_block_matmul, nullptr);
+const BackendRegistrar kBfp(StrategyFamily::kBfp, kMatmulOnly,
+                            make_block_matmul, nullptr);
 
-const BackendRegistrar kBbfp(
-    StrategyFamily::kBbfp,
-    {.matmul = true, .nonlinear = false, .dynamic_matmul_quantised = true,
-     .cost_model = true},
-    make_block_matmul, nullptr);
+const BackendRegistrar kBbfp(StrategyFamily::kBbfp, kMatmulOnly,
+                             make_block_matmul, nullptr);
 
-const BackendRegistrar kOltron(
-    StrategyFamily::kOltron,
-    {.matmul = true, .nonlinear = false, .dynamic_matmul_quantised = true,
-     .cost_model = true},
-    [](const StrategySpec&) -> MatmulR {
-      return MatmulPtr(std::make_unique<baselines::OltronBackend>());
-    },
-    nullptr);
+const BackendRegistrar kOltron(StrategyFamily::kOltron, kMatmulOnly,
+                               make_default_matmul<baselines::OltronBackend>,
+                               nullptr);
 
-const BackendRegistrar kOlive(
-    StrategyFamily::kOlive,
-    {.matmul = true, .nonlinear = false, .dynamic_matmul_quantised = true,
-     .cost_model = true},
-    [](const StrategySpec&) -> MatmulR {
-      return MatmulPtr(std::make_unique<baselines::OliveBackend>());
-    },
-    nullptr);
+const BackendRegistrar kOlive(StrategyFamily::kOlive, kMatmulOnly,
+                              make_default_matmul<baselines::OliveBackend>,
+                              nullptr);
 
-// OmniQuant publishes no PE design, so it carries no cost model.
+// OmniQuant publishes no PE design (hw::pe_for_spec), so it has no cost
+// model.
 const BackendRegistrar kOmniquant(
-    StrategyFamily::kOmniquant,
-    {.matmul = true, .nonlinear = false, .dynamic_matmul_quantised = true,
-     .cost_model = false},
-    [](const StrategySpec&) -> MatmulR {
-      return MatmulPtr(std::make_unique<baselines::OmniquantBackend>());
-    },
-    nullptr);
+    StrategyFamily::kOmniquant, kMatmulOnly,
+    make_default_matmul<baselines::OmniquantBackend>, nullptr);
 
-const BackendRegistrar kLutBbfp(
-    StrategyFamily::kLutBbfp,
-    {.matmul = false, .nonlinear = true, .dynamic_matmul_quantised = false,
-     .cost_model = true},
-    nullptr, make_lut_nonlinear);
+const BackendRegistrar kLutBbfp(StrategyFamily::kLutBbfp, kNonlinearOnly,
+                                nullptr, make_lut_nonlinear);
 
-const BackendRegistrar kLutBfp(
-    StrategyFamily::kLutBfp,
-    {.matmul = false, .nonlinear = true, .dynamic_matmul_quantised = false,
-     .cost_model = true},
-    nullptr, make_lut_nonlinear);
+const BackendRegistrar kLutBfp(StrategyFamily::kLutBfp, kNonlinearOnly,
+                               nullptr, make_lut_nonlinear);
 
 const BackendRegistrar kPseudoSoftmax(
-    StrategyFamily::kPseudoSoftmax,
-    {.matmul = false, .nonlinear = true, .dynamic_matmul_quantised = false,
-     .cost_model = true},
-    nullptr, [](const StrategySpec& spec) -> NonlinearR {
+    StrategyFamily::kPseudoSoftmax, kNonlinearOnly, nullptr,
+    [](const StrategySpec& spec) -> NonlinearR {
       return NonlinearPtr(
           std::make_unique<nl::PseudoSoftmaxBackend>(spec.bits));
     });
 
 const BackendRegistrar kBase2(
-    StrategyFamily::kBase2Softmax,
-    {.matmul = false, .nonlinear = true, .dynamic_matmul_quantised = false,
-     .cost_model = true},
-    nullptr, [](const StrategySpec& spec) -> NonlinearR {
+    StrategyFamily::kBase2Softmax, kNonlinearOnly, nullptr,
+    [](const StrategySpec& spec) -> NonlinearR {
       return NonlinearPtr(std::make_unique<nl::Base2SoftmaxBackend>(spec.bits));
     });
 

@@ -37,16 +37,10 @@
 namespace bbal {
 
 /// What a registered strategy family can do — queried by Session and the
-/// benches to decide which axes (accuracy, cost) a strategy supports.
+/// benches to decide which backend kinds a strategy supports.
 struct BackendCapabilities {
   bool matmul = false;     ///< has a linear-layer (MatmulBackend) factory
   bool nonlinear = false;  ///< has a NonlinearBackend factory
-  /// The matmul backend quantises dynamic activation-by-activation products
-  /// (attention score/context GEMMs) rather than falling back to FP32.
-  bool dynamic_matmul_quantised = false;
-  /// A hardware cost model exists (PE datapath design / nonlinear unit
-  /// cost), so the strategy can drive the accelerator simulator.
-  bool cost_model = false;
 };
 
 class BackendRegistry {
@@ -82,9 +76,9 @@ class BackendRegistry {
 
   [[nodiscard]] Result<BackendCapabilities> capabilities(
       const quant::StrategySpec& spec) const;
-  /// False (not an error) for unknown specs.
-  [[nodiscard]] bool supports_dynamic_matmul(
-      const quant::StrategySpec& spec) const;
+  /// A matmul strategy has a cost model when it has a PE datapath design
+  /// (hw::pe_for_spec), so it can drive the accelerator simulator. The
+  /// nonlinear units' costs live in nl/unit_cost.
   [[nodiscard]] bool has_cost_model(const quant::StrategySpec& spec) const;
   /// True if `name` parses and its family is registered.
   [[nodiscard]] bool is_known(std::string_view name) const;

@@ -71,28 +71,6 @@ class CapturingMatmul final : public llm::MatmulBackend {
   std::uint64_t dynamic_calls_ = 0;
 };
 
-/// NonlinearBackend decorator counting softmax/SiLU traffic.
-class CountingNonlinear final : public llm::NonlinearBackend {
- public:
-  explicit CountingNonlinear(std::unique_ptr<llm::NonlinearBackend> inner)
-      : inner_(std::move(inner)) {}
-
-  void softmax(std::span<float> xs) override {
-    elements_ += static_cast<std::int64_t>(xs.size());
-    inner_->softmax(xs);
-  }
-  void silu(std::span<float> xs) override {
-    elements_ += static_cast<std::int64_t>(xs.size());
-    inner_->silu(xs);
-  }
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-  [[nodiscard]] std::int64_t elements() const { return elements_; }
-
- private:
-  std::unique_ptr<llm::NonlinearBackend> inner_;
-  std::int64_t elements_ = 0;
-};
-
 /// Storage bits per weight element under a strategy: the PE design's
 /// equivalent bits when a cost model exists, else full FP32 words.
 double storage_bits_per_element(const quant::StrategySpec& spec) {
@@ -194,12 +172,6 @@ Session::Builder& Session::Builder::skip_accuracy() {
   return *this;
 }
 
-Session::Builder& Session::Builder::workload(
-    std::vector<accel::GemmShape> gemms) {
-  workload_ = std::move(gemms);
-  return *this;
-}
-
 Session::Builder& Session::Builder::workload_prefill(int seq) {
   prefill_seq_ = seq;
   return *this;
@@ -283,16 +255,9 @@ Result<Session> Session::Builder::build() {
   }
 
   // Cost workload overrides.
-  int override_count = 0;
-  if (workload_) ++override_count;
-  if (prefill_seq_) ++override_count;
-  if (decode_ctx_) ++override_count;
-  if (override_count > 1)
-    return R::error(
-        "choose one of workload(), workload_prefill(), workload_decode()");
-  if (workload_) {
-    session.workload_override_ = std::move(*workload_);
-  } else if (prefill_seq_) {
+  if (prefill_seq_ && decode_ctx_)
+    return R::error("choose one of workload_prefill(), workload_decode()");
+  if (prefill_seq_) {
     session.workload_override_ =
         accel::prefill_gemms(session.config_, *prefill_seq_);
   } else if (decode_ctx_) {
@@ -305,7 +270,7 @@ Result<Session> Session::Builder::build() {
   if (skip_accuracy_ && !session.workload_override_)
     return R::error(
         "skip_accuracy() needs an explicit workload (workload_prefill / "
-        "workload_decode / workload)");
+        "workload_decode)");
 
   return session;
 }
@@ -337,15 +302,13 @@ Result<Session::Report> Session::evaluate() {
     if (!nl_backend.is_ok()) return R::error(nl_backend.message());
 
     CapturingMatmul capture(std::move(matmul_backend).value());
-    CountingNonlinear counting(std::move(nl_backend).value());
-
-    report.perplexity = llm::evaluate_ppl(*prepared_, capture, counting);
+    report.perplexity =
+        llm::evaluate_ppl(*prepared_, capture, *nl_backend.value());
     report.fp32_perplexity = prepared_->fp32_ppl;
     report.has_accuracy = true;
 
     captured_ = capture.captured();
     weight_elements = capture.weight_elements();
-    report.nonlinear_elements = counting.elements();
   }
 
   const std::vector<accel::GemmShape>& workload =

@@ -61,9 +61,8 @@ class Session {
     int accelerator_pes = 0;        ///< PE count of the attached accelerator
     double memory_footprint_bytes = 0.0;  ///< weights under the strategy
 
-    std::size_t captured_gemms = 0;       ///< GEMMs recorded during eval
+    std::size_t captured_gemms = 0;  ///< GEMMs recorded during eval
     std::int64_t captured_macs = 0;
-    std::int64_t nonlinear_elements = 0;  ///< softmax+SiLU traffic
 
     /// Flat JSON object (used by tools/record_table2 for BENCH_table2.json).
     [[nodiscard]] std::string to_json() const;
@@ -94,8 +93,6 @@ class Session {
 
     /// Skip the perplexity run; cost simulation uses a synthetic workload.
     Builder& skip_accuracy();
-    /// Explicit cost workload instead of the captured one.
-    Builder& workload(std::vector<accel::GemmShape> gemms);
     /// Synthetic prefill / decode-step workloads from the model config.
     Builder& workload_prefill(int seq);
     Builder& workload_decode(int ctx);
@@ -117,7 +114,6 @@ class Session {
     std::optional<double> iso_area_um2_;
     double iso_dram_gbps_ = hw::kDramBandwidthGBs;
     bool skip_accuracy_ = false;
-    std::optional<std::vector<accel::GemmShape>> workload_;
     std::optional<int> prefill_seq_;
     std::optional<int> decode_ctx_;
   };

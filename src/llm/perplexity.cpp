@@ -44,31 +44,6 @@ std::vector<int> sample_stream(Transformer& model, int length,
   return tokens;
 }
 
-float calibrate_logit_scale(Transformer& model, double target_ppl,
-                            int calib_tokens, int iterations) {
-  assert(target_ppl > 1.0);
-  // Self-perplexity decreases monotonically in the logit scale (sharper
-  // distributions -> lower entropy). Bisect in log-space.
-  double lo = 0.05;
-  double hi = 40.0;
-  double best = 1.0;
-  for (int it = 0; it < iterations; ++it) {
-    const double mid = std::sqrt(lo * hi);
-    model.set_logit_scale(static_cast<float>(mid));
-    const std::vector<int> stream =
-        sample_stream(model, calib_tokens, /*seed=*/777);
-    const double ppl = model.perplexity(stream);
-    best = mid;
-    if (ppl > target_ppl) {
-      lo = mid;  // too flat: sharpen
-    } else {
-      hi = mid;
-    }
-  }
-  model.set_logit_scale(static_cast<float>(best));
-  return static_cast<float>(best);
-}
-
 PreparedModel prepare_model(const ModelConfig& config, int eval_tokens) {
   PreparedModel prepared;
   prepared.config = config;
@@ -85,7 +60,6 @@ PreparedModel prepare_model(const ModelConfig& config, int eval_tokens) {
   double lo = 0.05;
   double hi = 200.0;
   double best_err = 1e300;
-  double best_scale = 1.0;
   for (int it = 0; it < 12; ++it) {
     const double mid = std::sqrt(lo * hi);
     fp32.set_logit_scale(static_cast<float>(mid));
@@ -97,7 +71,6 @@ PreparedModel prepare_model(const ModelConfig& config, int eval_tokens) {
     const double err = std::fabs(std::log(ppl / config.fp_baseline_ppl));
     if (err < best_err) {
       best_err = err;
-      best_scale = mid;
       prepared.eval_stream = stream;
       prepared.fp32_ppl = ppl;
       prepared.logit_scale = static_cast<float>(mid);
@@ -110,7 +83,6 @@ PreparedModel prepare_model(const ModelConfig& config, int eval_tokens) {
       hi = mid;
     }
   }
-  (void)best_scale;
   return prepared;
 }
 

@@ -18,13 +18,6 @@ namespace bbal::llm {
 [[nodiscard]] std::vector<int> sample_stream(Transformer& model, int length,
                                              std::uint64_t seed);
 
-/// Calibrate the logit scale of the FP32 model so its self-perplexity hits
-/// `config.fp_baseline_ppl`; returns the scale. Bisection over generation.
-[[nodiscard]] float calibrate_logit_scale(Transformer& fp32_model,
-                                          double target_ppl,
-                                          int calib_tokens = 192,
-                                          int iterations = 7);
-
 /// Everything needed to evaluate one model under many backends: the frozen
 /// weights, the calibrated scale and the evaluation stream.
 struct PreparedModel {

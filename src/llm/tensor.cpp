@@ -64,26 +64,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void matvec(std::span<const float> row_vec, const Matrix& b,
-            std::span<float> out) {
-  assert(static_cast<int>(row_vec.size()) == b.rows());
-  assert(static_cast<int>(out.size()) == b.cols());
-  const int k = b.rows();
-  const int n = b.cols();
-  std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
-  for (int kk = 0; kk < k; ++kk) {
-    const double av = row_vec[static_cast<std::size_t>(kk)];
-    if (av == 0.0) continue;
-    const std::span<const float> brow = b.row(kk);
-    for (int j = 0; j < n; ++j)
-      acc[static_cast<std::size_t>(j)] +=
-          av * brow[static_cast<std::size_t>(j)];
-  }
-  for (int j = 0; j < n; ++j)
-    out[static_cast<std::size_t>(j)] =
-        static_cast<float>(acc[static_cast<std::size_t>(j)]);
-}
-
 void rmsnorm_row(std::span<float> x, std::span<const float> gain, float eps) {
   assert(x.size() == gain.size());
   double sq = 0.0;

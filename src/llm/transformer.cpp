@@ -54,7 +54,8 @@ void Transformer::attention(Matrix& x, int layer) {
   Matrix context(t, d);
 
   // Per-head attention. Scores/context products are activation-activation
-  // GEMMs and go through the dynamic (both-sides-quantised) path.
+  // GEMMs and go through matmul_dynamic (FP32 under every strategy), where
+  // decorators such as Session's capture can see them.
   //
   // The head loop itself stays serial: backend calls must arrive in a fixed
   // order because decorators (Session's workload capture, traffic counters)

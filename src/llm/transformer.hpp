@@ -5,6 +5,18 @@
 // linear LM head. All linear layers route through the MatmulBackend, all
 // softmax/SiLU through the NonlinearBackend, so quantisation error
 // propagates through genuine forward passes.
+//
+// Why this teacher-forced forward stays next to Decoder::step_groups (the
+// serving path): the two differ only in attention arithmetic. forward()
+// scales q by inv_sqrt before the score product and issues scores/context
+// through matmul_dynamic, so Session's capture decorator prices them; the
+// decoder scales the dot product afterwards. Running perplexity through
+// step_groups (the whole stream as one kAllRows group over a contiguous
+// cache) was measured on Llama-7B at 256 eval tokens: Olive moves
+// 940.147 -> 910.279 (-3.2%, over the 1% bar for merging the paths), the
+// other Table II rows and the FP32 calibration (7.33251) hold, and the
+// captured workload would lose its attention GEMMs (46 -> 22 GEMMs,
+// 915,008 -> 693,056 cycles on the 16x16 array). So both paths stay.
 #pragma once
 
 #include <span>

@@ -18,7 +18,7 @@ void LutNonlinearBackend::softmax(std::span<float> xs) {
   if (quantise_softmax_) {
     engine_.softmax(xs);
   } else {
-    llm::softmax_reference(xs);
+    NonlinearBackend::softmax(xs);
   }
 }
 
@@ -26,7 +26,7 @@ void LutNonlinearBackend::silu(std::span<float> xs) {
   if (quantise_silu_) {
     engine_.silu(xs);
   } else {
-    for (float& x : xs) x = llm::silu_reference(x);
+    NonlinearBackend::silu(xs);
   }
 }
 
@@ -63,10 +63,6 @@ void PseudoSoftmaxBackend::softmax(std::span<float> xs) {
     xs[i] = static_cast<float>(pows[i] / sum);
 }
 
-void PseudoSoftmaxBackend::silu(std::span<float> xs) {
-  for (float& x : xs) x = llm::silu_reference(x);  // not supported by [32]
-}
-
 // --- Base2SoftmaxBackend ----------------------------------------------------
 
 Base2SoftmaxBackend::Base2SoftmaxBackend(int fixed_bits)
@@ -91,10 +87,6 @@ void Base2SoftmaxBackend::softmax(std::span<float> xs) {
   if (sum <= 0.0) sum = 1.0;
   for (std::size_t i = 0; i < xs.size(); ++i)
     xs[i] = static_cast<float>(pows[i] / sum);
-}
-
-void Base2SoftmaxBackend::silu(std::span<float> xs) {
-  for (float& x : xs) x = llm::silu_reference(x);  // not supported by [33]
 }
 
 }  // namespace bbal::nl

@@ -33,12 +33,11 @@ class LutNonlinearBackend final : public llm::NonlinearBackend {
 /// [32]: pseudo-softmax — exponentials replaced by powers of two computed
 /// with INT8 shifts: p_i = 2^(x_i - max) / sum_j 2^(x_j - max), with the
 /// exponent truncated to integer-plus-fraction-bits precision. Cheap and
-/// softmax-only (no SiLU support; SiLU falls back to FP32 here).
+/// softmax-only (no SiLU support; SiLU stays on the FP32 default).
 class PseudoSoftmaxBackend final : public llm::NonlinearBackend {
  public:
   explicit PseudoSoftmaxBackend(int fraction_bits = 3);
   void softmax(std::span<float> xs) override;
-  void silu(std::span<float> xs) override;  // FP32 fallback (unsupported)
   [[nodiscard]] std::string name() const override { return "PseudoSoftmax"; }
 
  private:
@@ -47,12 +46,11 @@ class PseudoSoftmaxBackend final : public llm::NonlinearBackend {
 
 /// [33]: base-2 high-precision softmax — exact up to 27-bit fixed point;
 /// numerically near-FP32 (the cost model, not the numerics, is what makes
-/// it unattractive). Softmax-only.
+/// it unattractive). Softmax-only (SiLU stays on the FP32 default).
 class Base2SoftmaxBackend final : public llm::NonlinearBackend {
  public:
   explicit Base2SoftmaxBackend(int fixed_bits = 27);
   void softmax(std::span<float> xs) override;
-  void silu(std::span<float> xs) override;  // FP32 fallback (unsupported)
   [[nodiscard]] std::string name() const override { return "Base2HighPrec"; }
 
  private:

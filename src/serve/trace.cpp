@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -67,24 +70,32 @@ Result<TraceEntry> parse_trace_line(const std::string& line) {
       skip_ws();
       const char* start = line.c_str() + pos;
       char* end = nullptr;
+      errno = 0;
       const long long value = std::strtoll(start, &end, 10);
       if (end == start)
         return R::error("expected an integer value for \"" + key + "\"");
+      const bool overflowed = errno == ERANGE;
       pos += static_cast<std::size_t>(end - start);
+      int* field = nullptr;  // the int-sized fields; arrival_tick is 64-bit
       if (key == "arrival_tick") {
         entry.arrival_tick = value;
         have_arrival = true;
       } else if (key == "prompt_len") {
-        entry.prompt_len = static_cast<int>(value);
+        field = &entry.prompt_len;
         have_prompt = true;
       } else if (key == "max_new_tokens") {
-        entry.max_new_tokens = static_cast<int>(value);
+        field = &entry.max_new_tokens;
         have_budget = true;
       } else if (key == "prefix_group") {
-        entry.prefix_group = static_cast<int>(value);
+        field = &entry.prefix_group;
       } else if (key == "prefix_len") {
-        entry.prefix_len = static_cast<int>(value);
+        field = &entry.prefix_len;
       }  // unknown integer keys are ignored (forward compatibility)
+      const bool fits_int = value >= std::numeric_limits<int>::min() &&
+                            value <= std::numeric_limits<int>::max();
+      if (overflowed || (field != nullptr && !fits_int))
+        return R::error("\"" + key + "\" is out of range");
+      if (field != nullptr) *field = static_cast<int>(value);
       skip_ws();
       if (pos < line.size() && line[pos] == ',') {
         ++pos;

@@ -85,9 +85,6 @@ TEST(Registry, NonlinearFactoriesAndCapabilities) {
   EXPECT_FALSE(registry.make_matmul("PseudoSoftmax").is_ok());
 
   // Capability queries.
-  EXPECT_TRUE(
-      registry.supports_dynamic_matmul(quant::spec_of("BBFP(4,2)")));
-  EXPECT_FALSE(registry.supports_dynamic_matmul(quant::spec_of("FP32")));
   EXPECT_TRUE(registry.has_cost_model(quant::spec_of("BBFP(4,2)")));
   EXPECT_FALSE(registry.has_cost_model(quant::spec_of("OmniQuant")));
 }

@@ -202,8 +202,15 @@ void expect_step_batch_matches_steps(const std::string& strategy,
     EXPECT_EQ(caches[s].length(), static_cast<int>(seqs[s].size()));
 }
 
-const std::vector<std::string> kBatchStrategies = {"FP32", "INT8", "BFP4",
-                                                   "BBFP(4,2)"};
+/// Every Table II matmul strategy plus FP32 and INT8: batched rows must
+/// never see each other, whatever the quantiser.
+std::vector<std::string> batch_strategies() {
+  std::vector<std::string> strategies = bbal::table2_strategies();
+  strategies.insert(strategies.begin(), {"FP32", "INT8"});
+  return strategies;
+}
+
+const std::vector<std::string> kBatchStrategies = batch_strategies();
 
 TEST(DecoderBatch, MatchesIndependentStepsSingleThread) {
   for (const std::string& strategy : kBatchStrategies)

@@ -204,8 +204,23 @@ TEST(Trace, ParserAcceptsAnyKeyOrderAndRejectsMalformed) {
            R"({"arrival_tick": -1, "prompt_len": 3, "max_new_tokens": 2})",
            R"({"arrival_tick": 0, "prompt_len": 0, "max_new_tokens": 2})",
            R"({"arrival_tick": 0, "prompt_len": 3, "max_new_tokens": 2)",
+           // Out-of-range integers, which a narrowing cast would wrap.
+           R"({"arrival_tick": 0, "prompt_len": 4294967301, )"
+           R"("max_new_tokens": 2})",
+           R"({"arrival_tick": 0, "prompt_len": 3, )"
+           R"("max_new_tokens": 4294967297})",
+           R"({"arrival_tick": 0, "prompt_len": 3, "max_new_tokens": 2, )"
+           R"("prefix_group": 4294967296, "prefix_len": 1})",
+           R"({"arrival_tick": 99999999999999999999, "prompt_len": 3, )"
+           R"("max_new_tokens": 2})",
        })
     EXPECT_FALSE(serve::parse_trace_line(bad).is_ok()) << bad;
+  const auto wrapped = serve::parse_trace_line(
+      R"({"arrival_tick": 0, "prompt_len": 3, "max_new_tokens": 2, )"
+      R"("prefix_group": 4294967296})");
+  ASSERT_FALSE(wrapped.is_ok());
+  EXPECT_NE(wrapped.message().find("prefix_group"), std::string::npos)
+      << wrapped.message();
 }
 
 TEST(Trace, ReadErrorsNameTheLine) {

@@ -20,6 +20,7 @@
 #endif
 
 #include "accel/config.hpp"
+#include "bbal/registry.hpp"
 #include "bbal/session.hpp"
 #include "common/threadpool.hpp"
 #include "serve/engine.hpp"
@@ -100,14 +101,15 @@ std::uint32_t reference_stream_hash(
 /// serial decodes over contiguous caches, bit for bit (tokens and FNV-1a
 /// stream hash), across a thread-count sweep and with fewer slots than
 /// requests (so the scheduler queues, retires and back-fills mid-run).
-void expect_paged_matches_contiguous(int threads) {
+void expect_paged_matches_contiguous(const std::string& strategy,
+                                     int threads) {
   common::ThreadPool::set_global_threads(threads);
   const auto prepared = tiny_model();
   const std::vector<serve::Request> requests = serve::synthetic_requests(
       prepared->config, /*count=*/8, /*base_prompt_len=*/6,
       /*max_new_tokens=*/10);
 
-  serve::Engine engine = make_engine("BBFP(4,2)", /*max_batch=*/3);
+  serve::Engine engine = make_engine(strategy, /*max_batch=*/3);
   for (const serve::Request& req : requests) engine.submit(req);
   const serve::Report report = engine.run();
   common::ThreadPool::set_global_threads(common::ThreadPool::env_threads());
@@ -117,10 +119,11 @@ void expect_paged_matches_contiguous(int threads) {
   std::vector<std::vector<int>> references;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     references.push_back(serve::reference_decode(
-        *prepared, quant::spec_of("BBFP(4,2)"), requests[i]));
+        *prepared, quant::spec_of(strategy), requests[i]));
     EXPECT_TRUE(report.results[i].ok) << report.results[i].error;
     EXPECT_EQ(report.results[i].generated, references.back())
-        << "request " << i << " diverged at " << threads << " threads";
+        << strategy << " request " << i << " diverged at " << threads
+        << " threads";
   }
   EXPECT_EQ(report.stream_hash, reference_stream_hash(references));
   EXPECT_EQ(report.kv_format, "FP32");
@@ -128,12 +131,21 @@ void expect_paged_matches_contiguous(int threads) {
   EXPECT_GT(report.kv_bytes_peak, 0);
 }
 
+/// Every Table II matmul strategy plus FP32 and INT8.
+std::vector<std::string> serve_strategies() {
+  std::vector<std::string> strategies = table2_strategies();
+  strategies.insert(strategies.begin(), {"FP32", "INT8"});
+  return strategies;
+}
+
 TEST(ServeEngine, PagedMatchesContiguousSingleThread) {
-  expect_paged_matches_contiguous(1);
+  for (const std::string& strategy : serve_strategies())
+    expect_paged_matches_contiguous(strategy, 1);
 }
 
 TEST(ServeEngine, PagedMatchesContiguousFourThreads) {
-  expect_paged_matches_contiguous(4);
+  for (const std::string& strategy : serve_strategies())
+    expect_paged_matches_contiguous(strategy, 4);
 }
 
 TEST(ServeEngine, RunsAreDeterministic) {

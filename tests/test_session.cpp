@@ -128,7 +128,6 @@ TEST(Session, CapturedWorkloadMatchesModelShape) {
       static_cast<std::size_t>(cfg.n_layers) * (7 + 2 * cfg.n_heads) + 1;
   EXPECT_EQ(report.captured_gemms, expected);
   EXPECT_GT(report.captured_macs, 0);
-  EXPECT_GT(report.nonlinear_elements, 0);
 
   // Score/context fusion flags alternate on the dynamic GEMMs.
   std::size_t scores = 0;

@@ -170,7 +170,7 @@ TEST(GemmExecutor, MatchesFakeQuantBackend) {
   const quant::BlockFormat fmt = quant::BlockFormat::bbfp(4, 2);
   const llm::Matrix golden = execute_gemm_bit_exact(a, w, fmt, fmt);
 
-  llm::BlockQuantMatmulBackend backend(fmt, fmt);
+  llm::BlockQuantMatmulBackend backend(fmt);
   const int h = backend.prepare_weights(w, "w");
   llm::Matrix fast;
   backend.matmul(a, h, fast);

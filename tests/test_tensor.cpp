@@ -98,18 +98,6 @@ TEST(Matmul, MatchesNaiveTripleLoop) {
     }
 }
 
-TEST(Matvec, MatchesMatmulRow) {
-  Rng rng(5);
-  Matrix a(1, 24), b(24, 9);
-  for (float& v : a.flat()) v = static_cast<float>(rng.gaussian());
-  for (float& v : b.flat()) v = static_cast<float>(rng.gaussian());
-  const Matrix c = matmul(a, b);
-  std::vector<float> out(9);
-  matvec(a.row(0), b, out);
-  for (int j = 0; j < 9; ++j)
-    EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(j)], c.at(0, j));
-}
-
 TEST(RmsNorm, UnitGainNormalisesRms) {
   Matrix x(1, 4);
   x.at(0, 0) = 2; x.at(0, 1) = -2; x.at(0, 2) = 2; x.at(0, 3) = -2;
