@@ -122,6 +122,9 @@ MatmulR make_block_matmul(const StrategySpec& spec) {
 NonlinearR make_lut_nonlinear(const StrategySpec& spec) {
   auto fmt = spec.block_format();
   if (!fmt.is_ok()) return NonlinearR::error(fmt.message());
+  const Status fits = nl::NlUnitEngine::check_format(fmt.value());
+  if (!fits.is_ok())
+    return NonlinearR::error(spec.to_string() + ": " + fits.message());
   const bool do_softmax = spec.nl_scope != quant::NlScope::kSiluOnly;
   const bool do_silu = spec.nl_scope != quant::NlScope::kSoftmaxOnly;
   return NonlinearPtr(std::make_unique<nl::LutNonlinearBackend>(

@@ -6,7 +6,9 @@
 // hardware consumes (Section III.A), while remaining exact for any p <= 53.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 
 namespace bbal {
 
@@ -31,6 +33,17 @@ struct FloatParts {
 /// for x == 0. Equivalent to decompose(x, p).exponent for any p when no
 /// mantissa rounding carry occurs; cheap helper for exponent statistics.
 [[nodiscard]] int exponent_of(double x, int zero_exponent = -127);
+
+/// x * 2^e, rounded exactly as std::ldexp rounds it: one multiply by the
+/// power of two when 2^e is a normal double (both round once), std::ldexp
+/// itself otherwise. The block decoders' hot path.
+[[nodiscard]] inline double scale_by_pow2(double x, int e) {
+  if (e < -1022 || e > 1023) return std::ldexp(x, e);
+  const std::uint64_t bits = static_cast<std::uint64_t>(e + 1023) << 52;
+  double pow2 = 0.0;
+  std::memcpy(&pow2, &bits, sizeof pow2);
+  return x * pow2;
+}
 
 /// FP16 (IEEE binary16) emulation: round `x` to the nearest representable
 /// half-precision value (round-to-nearest-even, gradual underflow,

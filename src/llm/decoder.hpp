@@ -155,9 +155,11 @@ class Decoder {
   /// tokens and views must be the same non-zero size, views non-null and
   /// distinct. logits_out is resized to (batch x vocab) reusing its
   /// storage, and the decoder's per-layer workspace persists across
-  /// calls. The step still allocates — per-block activation quantisation
-  /// and KV page decode buffers (perfbench's host.allocs_per_token;
-  /// ROADMAP item 3(a)). Rows follow the caller's order, so retiring or
+  /// calls. Activation quantisation and the nonlinear unit allocate
+  /// nothing once warm, but the step still allocates in llm::matmul's
+  /// pool dispatch and for KV page decode buffers (perfbench's traced
+  /// decode_long counts 54.5 host.allocs_per_token, engine pricing
+  /// included; 382.5 before). Rows follow the caller's order, so retiring or
   /// back-filling sequences between calls just changes which views are
   /// passed.
   void step_batch(std::span<const int> tokens,

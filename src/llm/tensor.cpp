@@ -13,6 +13,20 @@ namespace {
 // state + helper enqueue) would cost more than the row work it distributes.
 constexpr std::int64_t kParallelMinMacs = 1 << 15;
 
+// Columns per inner-loop chunk. A fixed trip count because GCC at -O2 (the
+// default RelWithDebInfo build) vectorises only loops whose trip count is
+// a known multiple of the vector width.
+constexpr int kColumnChunk = 8;
+
+/// acc[j] += av * b[j] for j in [0, n): each product of two floats is exact
+/// in double, so every acc[j] is the same k-ordered sum however j is split.
+void axpy_row(double av, const float* b, double* acc, int n) {
+  int j = 0;
+  for (; j + kColumnChunk <= n; j += kColumnChunk)
+    for (int t = 0; t < kColumnChunk; ++t) acc[j + t] += av * b[j + t];
+  for (; j < n; ++j) acc[j] += av * b[j];
+}
+
 }  // namespace
 
 void matmul(const Matrix& a, const Matrix& b, Matrix& c) {
@@ -37,10 +51,7 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& c) {
       for (int kk = 0; kk < k; ++kk) {
         const double av = arow[static_cast<std::size_t>(kk)];
         if (av == 0.0) continue;
-        const std::span<const float> brow = b.row(kk);
-        for (int j = 0; j < n; ++j)
-          acc[static_cast<std::size_t>(j)] +=
-              av * brow[static_cast<std::size_t>(j)];
+        axpy_row(av, b.row(kk).data(), acc.data(), n);
       }
       const std::span<float> crow = c.row(static_cast<int>(i));
       for (int j = 0; j < n; ++j)

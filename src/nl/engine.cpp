@@ -1,8 +1,11 @@
 #include "nl/engine.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
-#include <vector>
+#include <optional>
+#include <string>
 
 #include "common/float_parts.hpp"
 
@@ -16,7 +19,20 @@ double phi_ref(double x) { return 0.5 * (1.0 + std::erf(x / std::sqrt(2.0))); }
 
 NlUnitEngine::NlUnitEngine(quant::BlockFormat fmt, int addr_bits)
     : fmt_(fmt), addr_bits_(addr_bits) {
-  assert(addr_bits >= 2 && addr_bits <= fmt.mantissa_bits);
+  check_format(fmt, addr_bits).expect("NlUnitEngine");
+}
+
+Status NlUnitEngine::check_format(const quant::BlockFormat& fmt,
+                                  int addr_bits) {
+  if (const Status s = fmt.validate(); !s.is_ok()) return s;
+  if (addr_bits < 2 || addr_bits > fmt.mantissa_bits) {
+    const std::string bits = std::to_string(addr_bits);
+    return Status::error(fmt.name() + " cannot address the nonlinear unit's " +
+                         bits + "-bit LUT: it needs at least " + bits +
+                         " mantissa bits, the format has " +
+                         std::to_string(fmt.mantissa_bits));
+  }
+  return Status::ok();
 }
 
 double NlUnitEngine::quantise_entry(double v) const {
@@ -27,43 +43,72 @@ double NlUnitEngine::quantise_entry(double v) const {
   return compose(parts, fmt_.mantissa_bits);
 }
 
-void NlUnitEngine::apply_lut(std::span<const double> xs, std::span<double> out,
-                             const std::function<double(double)>& f) {
+template <typename F>
+void NlUnitEngine::lookup(std::span<const double> xs, std::span<double> out,
+                          std::span<double> aligned, LutTables& tables,
+                          const F& f) {
   assert(xs.size() == out.size());
+  assert(aligned.empty() || aligned.size() == xs.size());
+  if (xs.empty()) return;
   // The Align Exponent Unit computes ONE shared exponent for the whole
   // vector (Section IV.B: "once a shared exponent is calculated during the
   // alignment phase, the corresponding sub-table can be loaded") — this is
   // what makes max-aligned BFP catastrophic on wide-range vectors while
   // BBFP's lowered exponent keeps the bulk resolution.
-  const std::size_t bs = xs.size();
+  ++stats_.blocks_encoded;
+  stats_.elements += xs.size();
+  // A zero mantissa reads no sub-table: its output is f(0).
+  const auto zero_output = [&] {
+    if (!tables.zero.filled) tables.zero = {quantise_entry(f(0.0)), true};
+    return tables.zero.value;
+  };
+  const std::optional<int> es = quant::shared_exponent(xs, fmt_);
+  if (!es) {  // an all-zero block
+    std::fill(out.begin(), out.end(), zero_output());
+    std::fill(aligned.begin(), aligned.end(), 0.0);
+    return;
+  }
   const int m = fmt_.mantissa_bits;
   const int dd = fmt_.shift_distance();
   const int drop = m - addr_bits_;
+  const std::size_t entries = std::size_t{1} << addr_bits_;
+  // This block's sub-tables, indexed by 2 * flag + sign once touched.
+  std::array<Entry*, 4> subtables{};
 
-  for (std::size_t start = 0; start < xs.size(); start += bs) {
-    const std::size_t len = std::min(bs, xs.size() - start);
-    const quant::EncodedBlock block =
-        quant::encode_block(xs.subspan(start, len), fmt_);
-    ++stats_.blocks_encoded;
-    for (std::size_t i = 0; i < len; ++i) {
-      const quant::BlockElement& e = block.elems[i];
-      ++stats_.elements;
-      double x_mid = 0.0;
-      if (e.mantissa != 0) {
-        // LUT address: top addr_bits of the aligned mantissa. The bucket
-        // midpoint reconstructs the input the entry was tabulated at.
-        const std::uint32_t addr = e.mantissa >> drop;
-        const double mid_mantissa =
-            (static_cast<double>(addr) + 0.5) * std::ldexp(1.0, drop);
-        const double step =
-            std::ldexp(1.0, block.shared_exponent - m + 1 + (e.flag ? dd : 0));
-        x_mid = mid_mantissa * step * (e.negative ? -1.0 : 1.0);
-        ++stats_.lut_lookups;
-        stats_.subtables_touched.insert({block.shared_exponent, e.flag});
-      }
-      out[start + i] = quantise_entry(f(x_mid));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const quant::BlockElement e = quant::encode_element(xs[i], *es, fmt_);
+    if (!aligned.empty()) aligned[i] = quant::decode_element(e, *es, fmt_);
+    if (e.mantissa == 0) {
+      out[i] = zero_output();
+      continue;
     }
+    ++stats_.lut_lookups;
+    Entry*& table = subtables[(e.flag ? 2 : 0) + (e.negative ? 1 : 0)];
+    if (table == nullptr) {
+      std::vector<Entry>& sub = tables.subtables[{*es, e.flag, e.negative}];
+      sub.resize(entries);
+      table = sub.data();
+      stats_.subtables_touched.insert({*es, e.flag});
+    }
+    // LUT address: top addr_bits of the aligned mantissa. The bucket
+    // midpoint reconstructs the input the entry was tabulated at.
+    const std::uint32_t addr = e.mantissa >> drop;
+    Entry& entry = table[addr];
+    if (!entry.filled) {
+      const double mid_mantissa =
+          (static_cast<double>(addr) + 0.5) * std::ldexp(1.0, drop);
+      const double step = std::ldexp(1.0, *es - m + 1 + (e.flag ? dd : 0));
+      const double x_mid = mid_mantissa * step * (e.negative ? -1.0 : 1.0);
+      entry = {quantise_entry(f(x_mid)), true};
+    }
+    out[i] = entry.value;
   }
+}
+
+void NlUnitEngine::apply_lut(std::span<const double> xs, std::span<double> out,
+                             const std::function<double(double)>& f) {
+  LutTables cold;
+  lookup(xs, out, {}, cold, f);
 }
 
 void NlUnitEngine::softmax(std::span<float> xs) {
@@ -72,14 +117,14 @@ void NlUnitEngine::softmax(std::span<float> xs) {
   float mx = xs[0];
   for (const float v : xs) mx = std::max(mx, v);
   // 2. Sub unit (FP16-precision subtract), then exp LUT on x - max <= 0.
-  std::vector<double> shifted(xs.size());
+  in_.resize(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i)
-    shifted[i] = to_fp16(static_cast<double>(xs[i]) - mx);
-  std::vector<double> exps(xs.size());
-  apply_lut(shifted, exps, [](double x) { return std::exp(x); });
+    in_[i] = to_fp16(static_cast<double>(xs[i]) - mx);
+  lut_out_.resize(xs.size());
+  lookup(in_, lut_out_, {}, exp_lut_, [](double x) { return std::exp(x); });
   // 3. Adder tree (high-bitwidth integer in hardware; exact here).
   double sum = 0.0;
-  for (const double v : exps) sum += v;
+  for (const double v : lut_out_) sum += v;
   if (sum <= 0.0) {  // degenerate: uniform fallback
     const float u = 1.0f / static_cast<float>(xs.size());
     for (float& v : xs) v = u;
@@ -87,38 +132,32 @@ void NlUnitEngine::softmax(std::span<float> xs) {
   }
   // 4. Div unit + output encoder (quotients re-quantised to m bits).
   for (std::size_t i = 0; i < xs.size(); ++i)
-    xs[i] = static_cast<float>(quantise_entry(exps[i] / sum));
+    xs[i] = static_cast<float>(quantise_entry(lut_out_[i] / sum));
+}
+
+template <typename F>
+void NlUnitEngine::gated(std::span<float> xs, LutTables& tables, const F& g) {
+  in_.assign(xs.begin(), xs.end());
+  lut_out_.resize(xs.size());
+  aligned_.resize(xs.size());
+  lookup(in_, lut_out_, aligned_, tables, g);
+  // Mul unit: multiply the vector-aligned quantised input by the entry.
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    xs[i] = static_cast<float>(quantise_entry(aligned_[i] * lut_out_[i]));
 }
 
 void NlUnitEngine::silu(std::span<float> xs) {
-  std::vector<double> in(xs.begin(), xs.end());
-  std::vector<double> sig(xs.size());
-  apply_lut(in, sig, sigmoid_ref);
-  // Mul unit: multiply the vector-aligned quantised input by the entry.
-  quant::BlockFormat vec_fmt = fmt_;
-  vec_fmt.block_size = std::max<int>(1, static_cast<int>(xs.size()));
-  const std::vector<double> xq = quant::quantise(in, vec_fmt);
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    xs[i] = static_cast<float>(quantise_entry(xq[i] * sig[i]));
+  gated(xs, sigmoid_lut_, sigmoid_ref);
 }
 
-void NlUnitEngine::gelu(std::span<float> xs) {
-  std::vector<double> in(xs.begin(), xs.end());
-  std::vector<double> phi(xs.size());
-  apply_lut(in, phi, phi_ref);
-  quant::BlockFormat vec_fmt = fmt_;
-  vec_fmt.block_size = std::max<int>(1, static_cast<int>(xs.size()));
-  const std::vector<double> xq = quant::quantise(in, vec_fmt);
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    xs[i] = static_cast<float>(quantise_entry(xq[i] * phi[i]));
-}
+void NlUnitEngine::gelu(std::span<float> xs) { gated(xs, phi_lut_, phi_ref); }
 
 void NlUnitEngine::sigmoid(std::span<float> xs) {
-  std::vector<double> in(xs.begin(), xs.end());
-  std::vector<double> sig(xs.size());
-  apply_lut(in, sig, sigmoid_ref);
+  in_.assign(xs.begin(), xs.end());
+  lut_out_.resize(xs.size());
+  lookup(in_, lut_out_, {}, sigmoid_lut_, sigmoid_ref);
   for (std::size_t i = 0; i < xs.size(); ++i)
-    xs[i] = static_cast<float>(sig[i]);
+    xs[i] = static_cast<float>(lut_out_[i]);
 }
 
 int NlUnitEngine::provisioned_subtables(int e_min, int e_max,

@@ -12,13 +12,20 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <set>
 #include <span>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "common/result.hpp"
 #include "quant/block.hpp"
 
 namespace bbal::nl {
+
+/// LUT address width of the paper's unit: 7 bits, 128 entries a sub-table.
+inline constexpr int kLutAddressBits = 7;
 
 /// Scalar function identities the unit can compute (the Control Unit's
 /// opcode space; "SILU and so on" in Table V).
@@ -35,9 +42,15 @@ struct NlUsageStats {
 
 class NlUnitEngine {
  public:
-  /// `fmt` must have >= addr_bits mantissa bits; the paper uses
+  /// `fmt` must pass check_format (aborts otherwise); the paper uses
   /// BBFP(10,5) with 7-bit LUT addresses.
-  explicit NlUnitEngine(quant::BlockFormat fmt, int addr_bits = 7);
+  explicit NlUnitEngine(quant::BlockFormat fmt,
+                        int addr_bits = kLutAddressBits);
+
+  /// Ok when `fmt` can feed `addr_bits`-bit LUT addresses: an address is
+  /// the top addr_bits of an element's m-bit mantissa, so m >= addr_bits.
+  [[nodiscard]] static Status check_format(const quant::BlockFormat& fmt,
+                                           int addr_bits = kLutAddressBits);
 
   /// Numerically-stable softmax computed entirely through the unit's
   /// pipeline: max -> subtract -> exp LUT -> adder tree -> divide -> encode.
@@ -52,8 +65,8 @@ class NlUnitEngine {
   /// Plain sigmoid through the LUT path.
   void sigmoid(std::span<float> xs);
 
-  /// Generic elementwise f through the LUT path (building block; exposed
-  /// for error-bound tests).
+  /// Generic elementwise f through the LUT path on a fresh, empty table
+  /// set (building block; exposed for error-bound tests).
   void apply_lut(std::span<const double> xs, std::span<double> out,
                  const std::function<double(double)>& f);
 
@@ -72,12 +85,46 @@ class NlUnitEngine {
   [[nodiscard]] std::size_t subtable_bits() const;
 
  private:
+  /// One LUT entry, filled on first use.
+  struct Entry {
+    double value = 0.0;
+    bool filled = false;
+  };
+
+  /// One function's table set: sub-tables of 2^addr_bits entries keyed by
+  /// (shared exponent, flag, sign), plus the output for a zero mantissa.
+  /// An entry is quantise_entry(f(x_mid)) at its bucket midpoint — a pure
+  /// function of the key and address — so filling it on first use and
+  /// reading it back afterwards is the same as computing it every time.
+  struct LutTables {
+    std::map<std::tuple<int, bool, bool>, std::vector<Entry>> subtables;
+    Entry zero;
+  };
+
+  /// The LUT path over one block (all of `xs`): out[i] is the entry element
+  /// i addresses; when `aligned` is non-empty, aligned[i] is the element's
+  /// block-quantised value (the input the Mul unit scales).
+  template <typename F>
+  void lookup(std::span<const double> xs, std::span<double> out,
+              std::span<double> aligned, LutTables& tables, const F& f);
+
+  /// x * g(x) through the Mul unit, g read from `tables` (SiLU, GELU).
+  template <typename F>
+  void gated(std::span<float> xs, LutTables& tables, const F& g);
+
   /// Quantise a scalar LUT entry / output to the unit's mantissa precision.
   [[nodiscard]] double quantise_entry(double v) const;
 
   quant::BlockFormat fmt_;
   int addr_bits_;
   NlUsageStats stats_;
+  LutTables exp_lut_;
+  LutTables sigmoid_lut_;
+  LutTables phi_lut_;
+  // Per-call scratch, reused so a warm call allocates nothing.
+  std::vector<double> in_;
+  std::vector<double> lut_out_;
+  std::vector<double> aligned_;
 };
 
 }  // namespace bbal::nl

@@ -28,6 +28,51 @@ std::uint64_t shift_and_round(std::uint64_t mantissa, int net,
                                             : trunc_out;
 }
 
+/// Shared exponent per Eq. (9) plus the configured strategy offset (for
+/// BFP, d == 0 and delta defaults to 0: plain max alignment), from the
+/// block's largest exponent at source precision — never below
+/// kZeroBlockExponent. nullopt for an all-zero block.
+template <typename T>
+std::optional<int> block_exponent(std::span<const T> values,
+                                  const BlockFormat& fmt) {
+  int max_e = kZeroBlockExponent;
+  bool any_nonzero = false;
+  for (const T v : values) {
+    const FloatParts part =
+        decompose(static_cast<double>(v), fmt.source_precision);
+    if (part.zero) continue;
+    any_nonzero = true;
+    max_e = std::max(max_e, part.exponent);
+  }
+  if (!any_nonzero) return std::nullopt;
+  return max_e - fmt.shift_distance() + fmt.strategy_delta;
+}
+
+/// encode_block + decode_all per block, element by element (an all-zero
+/// block decodes to +0.0, as its default elements do).
+template <typename T>
+void quantise_blocks(std::span<const T> values, const BlockFormat& fmt,
+                     std::span<T> out) {
+  assert(values.size() == out.size());
+  fmt.validate().expect("quantise");
+  const std::size_t bs = static_cast<std::size_t>(fmt.block_size);
+  for (std::size_t start = 0; start < values.size(); start += bs) {
+    const std::size_t len = std::min(bs, values.size() - start);
+    const std::span<const T> block = values.subspan(start, len);
+    const std::span<T> dst = out.subspan(start, len);
+    const std::optional<int> es = block_exponent(block, fmt);
+    if (!es) {
+      std::fill(dst.begin(), dst.end(), T{0});
+      continue;
+    }
+    for (std::size_t i = 0; i < len; ++i) {
+      const BlockElement e =
+          encode_element(static_cast<double>(block[i]), *es, fmt);
+      dst[i] = static_cast<T>(decode_element(e, *es, fmt));
+    }
+  }
+}
+
 }  // namespace
 
 double EncodedBlock::step_low() const {
@@ -40,12 +85,7 @@ double EncodedBlock::step_high() const {
 
 double EncodedBlock::decode(std::size_t i) const {
   assert(i < elems.size());
-  const BlockElement& e = elems[i];
-  const int lift = e.flag ? format.shift_distance() : 0;
-  const double mag =
-      std::ldexp(static_cast<double>(e.mantissa),
-                 shared_exponent - format.mantissa_bits + 1 + lift);
-  return e.negative ? -mag : mag;
+  return decode_element(elems[i], shared_exponent, format);
 }
 
 Status EncodedBlock::decode_all(std::span<double> out) const {
@@ -69,6 +109,59 @@ std::size_t EncodedBlock::flag_count() const {
                     [](const BlockElement& e) { return e.flag; }));
 }
 
+std::optional<int> shared_exponent(std::span<const double> values,
+                                   const BlockFormat& fmt) {
+  return block_exponent(values, fmt);
+}
+
+std::optional<int> shared_exponent(std::span<const float> values,
+                                   const BlockFormat& fmt) {
+  return block_exponent(values, fmt);
+}
+
+BlockElement encode_element(double x, int shared_exponent,
+                            const BlockFormat& fmt) {
+  const int p = fmt.source_precision;
+  const int m = fmt.mantissa_bits;
+  const FloatParts part = decompose(x, p);
+  BlockElement elem;
+  elem.negative = part.negative;
+  if (part.zero) return elem;
+
+  const int n = part.exponent - shared_exponent;
+  elem.flag = fmt.is_bbfp() && n > 0;
+  // Window bottom: bits below it are dropped. High group sits d bits up.
+  const int window_bottom = (p - m) + (elem.flag ? fmt.shift_distance() : 0);
+  const int net = n - window_bottom;
+
+  std::uint64_t trunc = 0;
+  std::uint64_t rounded =
+      shift_and_round(part.mantissa, net, fmt.rounding, trunc);
+
+  const std::uint64_t cap = std::uint64_t{1} << m;
+  if (rounded >= cap) {
+    if (trunc < cap) {
+      // Pure rounding carry past the window top: hardware sticky-rounds.
+      rounded = cap - 1;
+    } else if (fmt.overflow == OverflowPolicy::kSaturate) {
+      rounded = cap - 1;
+    } else {
+      // Clip() semantics: bits above the stored window are lost.
+      rounded &= cap - 1;
+    }
+  }
+  elem.mantissa = static_cast<std::uint32_t>(rounded);
+  return elem;
+}
+
+double decode_element(const BlockElement& e, int shared_exponent,
+                      const BlockFormat& fmt) {
+  const int lift = e.flag ? fmt.shift_distance() : 0;
+  const int exponent = shared_exponent - fmt.mantissa_bits + 1 + lift;
+  const double mag = scale_by_pow2(static_cast<double>(e.mantissa), exponent);
+  return e.negative ? -mag : mag;
+}
+
 EncodedBlock encode_block(std::span<const double> values,
                           const BlockFormat& fmt) {
   assert(!values.empty());
@@ -77,74 +170,17 @@ EncodedBlock encode_block(std::span<const double> values,
   EncodedBlock block;
   block.format = fmt;
   block.elems.resize(values.size());
-
-  const int p = fmt.source_precision;
-  const int m = fmt.mantissa_bits;
-  const int d = fmt.shift_distance();
-
-  // Pass 1: decompose at source precision; find the block max exponent.
-  std::vector<FloatParts> parts(values.size());
-  int max_e = kZeroBlockExponent;
-  bool any_nonzero = false;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    parts[i] = decompose(values[i], p);
-    if (!parts[i].zero) {
-      any_nonzero = true;
-      max_e = std::max(max_e, parts[i].exponent);
-    }
-  }
-  if (!any_nonzero) {
-    block.shared_exponent = kZeroBlockExponent;
-    return block;  // all elements default to zero mantissas
-  }
-
-  // Shared exponent per Eq. (9) plus the configured strategy offset.
-  // For BFP, d == 0 and delta defaults to 0 => plain max alignment.
-  block.shared_exponent = max_e - d + fmt.strategy_delta;
-
-  const std::uint64_t cap = std::uint64_t{1} << m;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    BlockElement& elem = block.elems[i];
-    const FloatParts& part = parts[i];
-    elem.negative = part.negative;
-    if (part.zero) continue;
-
-    const int n = part.exponent - block.shared_exponent;
-    const bool flag = fmt.is_bbfp() && n > 0;
-    elem.flag = flag;
-    // Window bottom: bits below it are dropped. High group sits d bits up.
-    const int window_bottom = (p - m) + (flag ? d : 0);
-    const int net = n - window_bottom;
-
-    std::uint64_t trunc = 0;
-    std::uint64_t rounded =
-        shift_and_round(part.mantissa, net, fmt.rounding, trunc);
-
-    if (rounded >= cap) {
-      if (trunc < cap) {
-        // Pure rounding carry past the window top: hardware sticky-rounds.
-        rounded = cap - 1;
-      } else if (fmt.overflow == OverflowPolicy::kSaturate) {
-        rounded = cap - 1;
-      } else {
-        // Clip() semantics: bits above the stored window are lost.
-        rounded &= cap - 1;
-      }
-    }
-    elem.mantissa = static_cast<std::uint32_t>(rounded);
-  }
+  const std::optional<int> es = shared_exponent(values, fmt);
+  if (!es) return block;  // all elements default to zero mantissas
+  block.shared_exponent = *es;
+  for (std::size_t i = 0; i < values.size(); ++i)
+    block.elems[i] = encode_element(values[i], *es, fmt);
   return block;
 }
 
 void quantise(std::span<const double> values, const BlockFormat& fmt,
               std::span<double> out) {
-  assert(values.size() == out.size());
-  const std::size_t bs = static_cast<std::size_t>(fmt.block_size);
-  for (std::size_t start = 0; start < values.size(); start += bs) {
-    const std::size_t len = std::min(bs, values.size() - start);
-    const EncodedBlock block = encode_block(values.subspan(start, len), fmt);
-    block.decode_all(out.subspan(start, len)).expect("quantise");
-  }
+  quantise_blocks(values, fmt, out);
 }
 
 std::vector<double> quantise(std::span<const double> values,
@@ -156,20 +192,7 @@ std::vector<double> quantise(std::span<const double> values,
 
 void quantise(std::span<const float> values, const BlockFormat& fmt,
               std::span<float> out) {
-  assert(values.size() == out.size());
-  const std::size_t bs = static_cast<std::size_t>(fmt.block_size);
-  std::vector<double> buf(bs);
-  std::vector<double> qbuf(bs);
-  for (std::size_t start = 0; start < values.size(); start += bs) {
-    const std::size_t len = std::min(bs, values.size() - start);
-    for (std::size_t i = 0; i < len; ++i)
-      buf[i] = static_cast<double>(values[start + i]);
-    const EncodedBlock block =
-        encode_block(std::span<const double>(buf.data(), len), fmt);
-    block.decode_all(std::span<double>(qbuf.data(), len)).expect("quantise");
-    for (std::size_t i = 0; i < len; ++i)
-      out[start + i] = static_cast<float>(qbuf[i]);
-  }
+  quantise_blocks(values, fmt, out);
 }
 
 }  // namespace bbal::quant

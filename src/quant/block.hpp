@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -43,8 +44,28 @@ struct EncodedBlock {
 [[nodiscard]] EncodedBlock encode_block(std::span<const double> values,
                                         const BlockFormat& fmt);
 
-/// Round-trip convenience: encode in consecutive blocks of fmt.block_size
-/// (last block may be short) and decode back. `out` aliases allowed.
+/// The two halves of encode_block, for callers that consume elements as
+/// they are encoded. shared_exponent: E_s of one block of `values`, or
+/// nullopt when every value is zero (encode_block then stores
+/// kZeroBlockExponent and all-default elements). encode_element: one value
+/// of a block with shared exponent `shared_exponent`; a zero keeps its
+/// sign. `fmt` must be valid (BlockFormat::validate).
+[[nodiscard]] std::optional<int> shared_exponent(std::span<const double> values,
+                                                 const BlockFormat& fmt);
+[[nodiscard]] std::optional<int> shared_exponent(std::span<const float> values,
+                                                 const BlockFormat& fmt);
+[[nodiscard]] BlockElement encode_element(double x, int shared_exponent,
+                                          const BlockFormat& fmt);
+
+/// Value of element `e` of a block with shared exponent `shared_exponent`
+/// (EncodedBlock::decode's arithmetic).
+[[nodiscard]] double decode_element(const BlockElement& e, int shared_exponent,
+                                    const BlockFormat& fmt);
+
+/// Round-trip: quantise consecutive blocks of fmt.block_size (the last
+/// may be short), equal to encode_block + decode_all per block — an
+/// all-zero block decodes to +0.0 — but building no EncodedBlock and
+/// allocating nothing. `out` may alias `values`.
 void quantise(std::span<const double> values, const BlockFormat& fmt,
               std::span<double> out);
 [[nodiscard]] std::vector<double> quantise(std::span<const double> values,

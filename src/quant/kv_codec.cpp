@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <vector>
+#include <optional>
 
 #include "quant/block.hpp"
 #include "quant/strategy.hpp"
@@ -144,7 +144,6 @@ void KvPageCodec::encode_row(std::span<const float> row,
   }
   const int gs = group_size();
   std::size_t off = 0;
-  std::vector<double> buf(static_cast<std::size_t>(gs));
   for (int start = 0; start < row_elems_; start += gs) {
     const int n = std::min(gs, row_elems_ - start);
     const std::size_t gb = group_bytes(n);
@@ -169,17 +168,21 @@ void KvPageCodec::encode_row(std::span<const float> row,
             static_cast<std::uint8_t>(static_cast<std::int8_t>(q));
       }
     } else {
-      for (int i = 0; i < n; ++i)
-        buf[static_cast<std::size_t>(i)] = static_cast<double>(
-            row[static_cast<std::size_t>(start + i)]);
-      const EncodedBlock block = encode_block(
-          std::span<const double>(buf.data(), static_cast<std::size_t>(n)),
-          format_.block);
-      const std::int16_t es = static_cast<std::int16_t>(block.shared_exponent);
+      // encode_block's encoding, element by element: an all-zero group
+      // stores kZeroBlockExponent and default elements.
+      const std::span<const float> group =
+          row.subspan(static_cast<std::size_t>(start),
+                      static_cast<std::size_t>(n));
+      const std::optional<int> shared = shared_exponent(group, format_.block);
+      const auto es =
+          static_cast<std::int16_t>(shared.value_or(kZeroBlockExponent));
       std::memcpy(dst.data(), &es, sizeof(std::int16_t));
       BitWriter bits(dst.subspan(sizeof(std::int16_t)));
       for (int i = 0; i < n; ++i) {
-        const BlockElement& e = block.elems[static_cast<std::size_t>(i)];
+        BlockElement e;
+        if (shared)
+          e = encode_element(group[static_cast<std::size_t>(i)], *shared,
+                             format_.block);
         bits.put(e.negative ? 1u : 0u, 1);
         if (format_.block.is_bbfp()) bits.put(e.flag ? 1u : 0u, 1);
         bits.put(e.mantissa, format_.block.mantissa_bits);
@@ -215,20 +218,15 @@ void KvPageCodec::decode_row(std::span<const std::uint8_t> in,
     } else {
       std::int16_t es = 0;
       std::memcpy(&es, src.data(), sizeof(std::int16_t));
-      EncodedBlock block;
-      block.format = format_.block;
-      block.shared_exponent = es;
-      block.elems.resize(static_cast<std::size_t>(n));
       BitReader bits(src.subspan(sizeof(std::int16_t)));
       for (int i = 0; i < n; ++i) {
-        BlockElement& e = block.elems[static_cast<std::size_t>(i)];
+        BlockElement e;
         e.negative = bits.get(1) != 0;
         if (format_.block.is_bbfp()) e.flag = bits.get(1) != 0;
         e.mantissa = bits.get(format_.block.mantissa_bits);
-      }
-      for (int i = 0; i < n; ++i)
         out[static_cast<std::size_t>(start + i)] =
-            static_cast<float>(block.decode(static_cast<std::size_t>(i)));
+            static_cast<float>(decode_element(e, es, format_.block));
+      }
     }
     off += gb;
   }

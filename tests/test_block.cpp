@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/float_parts.hpp"
@@ -237,6 +239,67 @@ TEST(QuantiseSpan, FloatOverloadMatchesDoublePath) {
   quantise(std::span<const float>(xf), fmt, std::span<float>(qf));
   for (std::size_t i = 0; i < xs.size(); ++i)
     EXPECT_FLOAT_EQ(qf[i], static_cast<float>(qd[i]));
+}
+
+TEST(QuantiseSpan, FusedPathEqualsEncodeAndDecodeBitForBit) {
+  // quantise builds no EncodedBlock; it must still return exactly what
+  // encode_block + decode_all give per block, for float and double input.
+  Rng rng(77);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int m = static_cast<int>(rng.uniform_int(2, 10));
+    const int o = static_cast<int>(rng.uniform_int(0, m - 1));
+    BlockFormat fmt = BlockFormat::bfp(m);
+    if (rng.uniform() < 0.5) fmt = BlockFormat::bbfp(m, o);
+    fmt.block_size = static_cast<int>(rng.uniform_int(1, 48));
+    fmt.strategy_delta = static_cast<int>(rng.uniform_int(-2, 2));
+    fmt.source_precision = rng.uniform() < 0.5 ? 11 : 24;
+    if (rng.uniform() < 0.5) fmt.rounding = Rounding::kTruncate;
+    if (rng.uniform() < 0.5) fmt.overflow = OverflowPolicy::kSaturate;
+
+    // Lengths leave short tail blocks; +-0 appear inside blocks and as a
+    // whole all-zero first block (which decodes to +0.0).
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 150));
+    const std::size_t bs = static_cast<std::size_t>(fmt.block_size);
+    const double scale =
+        std::ldexp(1.0, static_cast<int>(rng.uniform_int(-20, 20)));
+    std::vector<float> xf(n);
+    for (float& x : xf) {
+      const double u = rng.uniform();
+      if (u < 0.1) {
+        x = 0.0f;
+      } else if (u < 0.2) {
+        x = -0.0f;
+      } else {
+        x = static_cast<float>(rng.heavy_tailed(1.0, 0.05, 20.0) * scale);
+      }
+    }
+    if (rng.uniform() < 0.3)
+      for (std::size_t i = 0; i < std::min(bs, n); ++i)
+        xf[i] = i % 2 == 0 ? -0.0f : 0.0f;
+    const std::vector<double> xd(xf.begin(), xf.end());
+
+    std::vector<double> want(n);
+    for (std::size_t start = 0; start < n; start += bs) {
+      const std::size_t len = std::min(bs, n - start);
+      const EncodedBlock block =
+          encode_block(std::span<const double>(xd).subspan(start, len), fmt);
+      const auto dst = std::span<double>(want).subspan(start, len);
+      ASSERT_TRUE(block.decode_all(dst).is_ok());
+    }
+
+    std::vector<double> got_d(n);
+    quantise(xd, fmt, std::span<double>(got_d));
+    std::vector<float> got_f(n);
+    quantise(std::span<const float>(xf), fmt, std::span<float>(got_f));
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got_d[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << fmt.name() << " bs=" << bs << " i=" << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got_f[i]),
+                std::bit_cast<std::uint32_t>(static_cast<float>(want[i])))
+          << fmt.name() << " bs=" << bs << " i=" << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -79,6 +79,15 @@ TEST(Registry, NonlinearFactoriesAndCapabilities) {
   ASSERT_TRUE(lut_softmax.is_ok()) << lut_softmax.message();
   EXPECT_EQ(lut_softmax.value()->name(), "BBFP(10,5) softmax-only");
 
+  // Formats narrower than the unit's 7-bit LUT address parse but cannot
+  // drive it: an error naming the address, never a negative shift.
+  for (const char* narrow : {"BBFP-LUT(4,2)", "BFP-LUT(6)"}) {
+    const auto rejected = registry.make_nonlinear(narrow);
+    ASSERT_FALSE(rejected.is_ok()) << narrow;
+    EXPECT_NE(rejected.message().find("7-bit LUT"), std::string::npos)
+        << rejected.message();
+  }
+
   // A matmul-only strategy is a reportable error as a nonlinear backend.
   EXPECT_FALSE(registry.make_nonlinear("BBFP(4,2)").is_ok());
   // And vice versa.

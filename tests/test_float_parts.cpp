@@ -2,12 +2,166 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 
 namespace bbal {
 namespace {
+
+// Reference decomposition through frexp/ldexp: the library's definition
+// before decompose/compose read the IEEE-754 fields directly.
+FloatParts reference_decompose(double x, int precision_bits) {
+  FloatParts parts;
+  parts.negative = std::signbit(x);
+  if (x == 0.0) return parts;
+  parts.zero = false;
+  int e2 = 0;
+  const double frac = std::frexp(std::fabs(x), &e2);  // frac in [0.5, 1)
+  // Scale so the integer part is the p-bit mantissa; round to nearest even.
+  const double scaled = std::ldexp(frac, precision_bits);
+  auto mant = static_cast<std::uint64_t>(scaled);
+  const double rem = scaled - static_cast<double>(mant);
+  if (rem > 0.5 || (rem == 0.5 && (mant & 1u) != 0)) ++mant;
+  int exponent = e2 - 1;  // value = (mant / 2^(p-1)) * 2^(e2-1)
+  if (mant == (std::uint64_t{1} << precision_bits)) {
+    mant >>= 1;  // rounding carry: 1.111..1 -> 10.00..0
+    ++exponent;
+  }
+  parts.mantissa = mant;
+  parts.exponent = exponent;
+  return parts;
+}
+
+double reference_compose(const FloatParts& parts, int precision_bits) {
+  if (parts.zero) return parts.negative ? -0.0 : 0.0;
+  const double mag = std::ldexp(static_cast<double>(parts.mantissa),
+                                parts.exponent - (precision_bits - 1));
+  return parts.negative ? -mag : mag;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// decompose and compose equal the references at every p in [2, 53].
+void expect_matches_reference(double x) {
+  for (int p = 2; p <= 53; ++p) {
+    const FloatParts got = decompose(x, p);
+    const FloatParts want = reference_decompose(x, p);
+    ASSERT_EQ(got.zero, want.zero) << x << " p=" << p;
+    ASSERT_EQ(got.negative, want.negative) << x << " p=" << p;
+    ASSERT_EQ(got.exponent, want.exponent) << x << " p=" << p;
+    ASSERT_EQ(got.mantissa, want.mantissa) << x << " p=" << p;
+    ASSERT_EQ(bits(compose(got, p)), bits(reference_compose(want, p)))
+        << x << " p=" << p;
+  }
+}
+
+std::vector<double> signed_pair(double x) { return {x, -x}; }
+
+TEST(FloatPartsReference, RandomFiniteBitPatterns) {
+  Rng rng(2024);
+  int checked = 0;
+  while (checked < 20000) {
+    const auto pattern = static_cast<std::uint64_t>(
+        rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                        std::numeric_limits<std::int64_t>::max()));
+    const double x = std::bit_cast<double>(pattern);
+    if (!std::isfinite(x)) continue;
+    expect_matches_reference(x);
+    ++checked;
+  }
+}
+
+TEST(FloatPartsReference, ZerosSubnormalsAndPowersOfTwo) {
+  std::vector<double> xs = {0.0, -0.0, std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::denorm_min()};
+  for (int e = -1074; e <= 1023; ++e) xs.push_back(std::ldexp(1.0, e));
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    // Random subnormal fractions, and the largest subnormal.
+    const auto fraction = static_cast<std::uint64_t>(
+        rng.uniform_int(1, (std::int64_t{1} << 52) - 1));
+    xs.push_back(std::bit_cast<double>(fraction));
+  }
+  xs.push_back(std::bit_cast<double>((std::uint64_t{1} << 52) - 1));
+  for (const double x : xs)
+    for (const double v : signed_pair(x)) expect_matches_reference(v);
+}
+
+TEST(FloatPartsReference, RoundToNearestEvenTiesAndCarryOut) {
+  EXPECT_EQ(decompose(0x1.ffep0, 11).exponent, 1);  // carries out at p = 11
+  EXPECT_EQ(decompose(0x1.ffep0, 11).mantissa, 1024u);
+  Rng rng(6);
+  for (int p = 2; p <= 52; ++p) {
+    for (int i = 0; i < 200; ++i) {
+      // A (p+1)-bit odd significand: exactly halfway between two p-bit
+      // mantissas, so the even neighbour wins.
+      const auto mant = static_cast<std::uint64_t>(
+          rng.uniform_int(std::int64_t{1} << (p - 1),
+                          (std::int64_t{1} << p) - 1));
+      const int e = static_cast<int>(rng.uniform_int(-1070, 1022 - p));
+      const double tie = std::ldexp(static_cast<double>(2 * mant + 1), e);
+      for (const double v : signed_pair(tie)) expect_matches_reference(v);
+    }
+    // All ones above a tie bit: rounds up and carries into the exponent,
+    // in the normal and in the subnormal range.
+    const double top = static_cast<double>((std::uint64_t{1} << (p + 1)) - 1);
+    for (const int e : {-1074, -1060, -p, 0, 1023 - p})
+      for (const double v : signed_pair(std::ldexp(top, e)))
+        expect_matches_reference(v);
+  }
+}
+
+TEST(FloatPartsReference, ComposeRoundsIntoSubnormalsAndOverflows) {
+  // Parts that decompose never returns for its own input: mantissas placed
+  // below 2^-1074's reach (compose must round, as ldexp does) and above
+  // the largest double (infinity).
+  Rng rng(8);
+  for (int p = 2; p <= 53; ++p) {
+    for (int i = 0; i < 300; ++i) {
+      FloatParts parts;
+      parts.zero = false;
+      parts.negative = rng.uniform() < 0.5;
+      parts.mantissa = static_cast<std::uint64_t>(
+          rng.uniform_int(std::int64_t{1} << (p - 1),
+                          (std::int64_t{1} << p) - 1));
+      std::int64_t exponent = rng.uniform_int(1020, 1026);
+      if (i % 2 == 0) exponent = rng.uniform_int(-1140, -1020);
+      parts.exponent = static_cast<int>(exponent);
+      ASSERT_EQ(bits(compose(parts, p)), bits(reference_compose(parts, p)))
+          << "p=" << p << " e=" << parts.exponent << " m=" << parts.mantissa;
+    }
+  }
+}
+
+TEST(FloatPartsReference, ExponentOfAndScaleByPow2MatchLibm) {
+  Rng rng(9);
+  for (int i = 0; i < 20000; ++i) {
+    const auto pattern = static_cast<std::uint64_t>(
+        rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                        std::numeric_limits<std::int64_t>::max()));
+    const double x = std::bit_cast<double>(pattern);
+    if (!std::isfinite(x)) continue;
+    int e2 = 0;
+    (void)std::frexp(x, &e2);
+    ASSERT_EQ(exponent_of(x), x == 0.0 ? -127 : e2 - 1) << x;
+    // Any scale: the result may be normal, subnormal (rounded), zero or
+    // infinite.
+    const int e = static_cast<int>(rng.uniform_int(-2200, 2200));
+    ASSERT_EQ(bits(scale_by_pow2(x, e)), bits(std::ldexp(x, e)))
+        << x << " * 2^" << e;
+    // Integer mantissas, as the block decoders scale them.
+    const auto mant = static_cast<double>(rng.uniform_int(0, 1 << 24));
+    const int f = static_cast<int>(rng.uniform_int(-1100, 1030));
+    ASSERT_EQ(bits(scale_by_pow2(mant, f)), bits(std::ldexp(mant, f)))
+        << mant << " * 2^" << f;
+  }
+}
 
 TEST(FloatParts, DecomposeOne) {
   const FloatParts p = decompose(1.0, 11);

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "llm/tensor.hpp"
@@ -157,6 +160,63 @@ TEST(NlEngine, StatsTrackSubtables) {
   EXPECT_GT(stats.lut_lookups, 0u);
   EXPECT_GT(stats.blocks_encoded, 0u);
   EXPECT_FALSE(stats.subtables_touched.empty());
+}
+
+TEST(NlEngine, WarmTablesEqualColdEngineBitForBit) {
+  // Entries are filled on first use and read back afterwards: an engine
+  // that has served many calls must give exactly what a fresh one gives,
+  // and count the same LUT traffic.
+  for (const quant::BlockFormat& fmt : {bbfp105(), bfp10()}) {
+    NlUnitEngine warm(fmt);
+    NlUsageStats cold_total;
+    Rng rng(11);
+    for (int call = 0; call < 120; ++call) {
+      const auto width = static_cast<std::size_t>(rng.uniform_int(1, 341));
+      const double spread = rng.uniform(0.1, 8.0);
+      std::vector<float> xs(width);
+      for (auto& x : xs) {
+        x = static_cast<float>(rng.gaussian(0.0, spread));
+        if (rng.uniform() < 0.05) x = 0.0f;
+      }
+      if (call % 17 == 0) std::fill(xs.begin(), xs.end(), 0.0f);
+
+      NlUnitEngine cold(fmt);
+      std::vector<float> a = xs;
+      std::vector<float> b = xs;
+      switch (call % 4) {
+        case 0:
+          warm.softmax(a);
+          cold.softmax(b);
+          break;
+        case 1:
+          warm.silu(a);
+          cold.silu(b);
+          break;
+        case 2:
+          warm.gelu(a);
+          cold.gelu(b);
+          break;
+        default:
+          warm.sigmoid(a);
+          cold.sigmoid(b);
+          break;
+      }
+      for (std::size_t i = 0; i < width; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+                  std::bit_cast<std::uint32_t>(b[i]))
+            << fmt.name() << " call " << call << " i=" << i;
+      const NlUsageStats& c = cold.stats();
+      cold_total.lut_lookups += c.lut_lookups;
+      cold_total.blocks_encoded += c.blocks_encoded;
+      cold_total.elements += c.elements;
+      cold_total.subtables_touched.insert(c.subtables_touched.begin(),
+                                          c.subtables_touched.end());
+    }
+    EXPECT_EQ(warm.stats().lut_lookups, cold_total.lut_lookups);
+    EXPECT_EQ(warm.stats().blocks_encoded, cold_total.blocks_encoded);
+    EXPECT_EQ(warm.stats().elements, cold_total.elements);
+    EXPECT_EQ(warm.stats().subtables_touched, cold_total.subtables_touched);
+  }
 }
 
 TEST(NlEngine, ProvisionedSubtablesMatchPaper) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 
@@ -84,18 +86,29 @@ TEST(Matmul, HandComputed) {
 }
 
 TEST(Matmul, MatchesNaiveTripleLoop) {
+  // Bit for bit: every output is the k-ordered double sum of the products,
+  // whatever the column chunking (N covers chunk tails) and with zero
+  // activations, which the kernel skips.
+  constexpr int kK = 37;
   Rng rng(4);
-  Matrix a(7, 13), b(13, 5);
-  for (float& v : a.flat()) v = static_cast<float>(rng.gaussian());
-  for (float& v : b.flat()) v = static_cast<float>(rng.gaussian());
-  const Matrix c = matmul(a, b);
-  for (int i = 0; i < 7; ++i)
-    for (int j = 0; j < 5; ++j) {
-      double acc = 0.0;
-      for (int k = 0; k < 13; ++k)
-        acc += static_cast<double>(a.at(i, k)) * b.at(k, j);
-      EXPECT_NEAR(c.at(i, j), acc, 1e-4) << i << "," << j;
+  for (const int m : {1, 4, 7}) {
+    for (const int n : {5, 8, 13, 341}) {
+      Matrix a(m, kK), b(kK, n);
+      for (float& v : a.flat())
+        v = rng.uniform() < 0.2 ? 0.0f : static_cast<float>(rng.gaussian());
+      for (float& v : b.flat()) v = static_cast<float>(rng.gaussian());
+      const Matrix c = matmul(a, b);
+      for (int i = 0; i < m; ++i)
+        for (int j = 0; j < n; ++j) {
+          double acc = 0.0;
+          for (int k = 0; k < kK; ++k)
+            acc += static_cast<double>(a.at(i, k)) * b.at(k, j);
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(c.at(i, j)),
+                    std::bit_cast<std::uint32_t>(static_cast<float>(acc)))
+              << m << "x" << n << " at " << i << "," << j;
+        }
     }
+  }
 }
 
 TEST(RmsNorm, UnitGainNormalisesRms) {
