@@ -86,7 +86,7 @@ struct RequestResult {
   std::int64_t queue_ticks = 0;   ///< admit_tick - arrival_tick
   /// Engine clock at the first generated token (-1 until it exists): the
   /// tick-domain TTFT — with chunked prefill a prompt of P tokens costs
-  /// about ceil(P/chunk) ticks instead of P (bench_prefill's gate).
+  /// about ceil(P/chunk) ticks instead of P (test_serve gates the bound).
   /// Clock-exact and deterministic; not serialised in BENCH rows.
   std::int64_t first_token_tick = -1;
   /// Largest simulated gap between consecutive generated tokens — the
@@ -222,7 +222,7 @@ struct Report {
   double offered_tokens_per_tick = 0.0;
   /// Achieved service rate: generated tokens per elapsed clock tick.
   /// Tracks offered load until saturation, then plateaus at capacity —
-  /// the knee bench_serve_slo charts.
+  /// the knee BENCH_slo.json records.
   double throughput_tokens_per_tick = 0.0;
   /// FNV-1a over (id, generated tokens) of completed requests: one exact
   /// CI field that pins every token of every stream.

@@ -1,5 +1,5 @@
 // Deterministic synthetic serving traffic: the request mix used by
-// bench_serve_throughput, tools/record_serve and the serving tests. Seeded
+// tools/record_serve, perfbench and the serving tests. Seeded
 // prompts over the model's vocabulary with staggered lengths, so every
 // consumer (and every CI run) replays the identical token streams.
 #pragma once
@@ -65,8 +65,8 @@ namespace bbal::serve {
 
 /// Reference path: decode one request alone, on a fresh backend pair
 /// (`matmul` + FP32 nonlinear), greedy sampling — the stream a batched
-/// Engine run must reproduce bit for bit (bench_serve_throughput and
-/// test_serve hold the engine to this). Aborts on an unknown strategy.
+/// Engine run must reproduce bit for bit (test_serve holds the engine to
+/// this). Aborts on an unknown strategy.
 [[nodiscard]] std::vector<int> reference_decode(
     const llm::PreparedModel& prepared, const quant::StrategySpec& matmul,
     const Request& request);

@@ -412,6 +412,8 @@ TEST(OpenLoop, OverloadDegradesGoodputMonotonicallyWithoutDeadlock) {
 
   double prev_goodput = 2.0;
   double prev_queue = -1.0;
+  double prev_offered = 0.0;
+  double low_p99_ttft = 0.0;
   for (const double rate : {0.01, 0.2, 2.0}) {
     auto mix = base;
     serve::stamp_arrivals(mix,
@@ -423,13 +425,22 @@ TEST(OpenLoop, OverloadDegradesGoodputMonotonicallyWithoutDeadlock) {
     EXPECT_TRUE(report.has_slo);
     EXPECT_LE(report.goodput_under_slo, prev_goodput) << "rate " << rate;
     EXPECT_GE(report.queue_delay_mean_ticks, prev_queue) << "rate " << rate;
+    EXPECT_GE(report.offered_tokens_per_tick, prev_offered) << "rate " << rate;
+    // Idle ticks are skipped, never double-counted, and arrival times move
+    // when tokens are produced, never what is produced.
+    EXPECT_GE(report.clock_ticks, report.engine_steps) << "rate " << rate;
+    EXPECT_EQ(report.stream_hash, probe.stream_hash) << "rate " << rate;
     prev_goodput = report.goodput_under_slo;
     prev_queue = report.queue_delay_mean_ticks;
+    prev_offered = report.offered_tokens_per_tick;
     if (rate == 0.01) {
       EXPECT_EQ(report.goodput_under_slo, 1.0);
+      low_p99_ttft = report.p99_ttft_seconds;
     }
     if (rate == 2.0) {
       EXPECT_LT(report.goodput_under_slo, 1.0);
+      // The knee: queueing delay past capacity lands in TTFT.
+      EXPECT_GE(report.p99_ttft_seconds, 2.0 * low_p99_ttft);
     }
   }
 }

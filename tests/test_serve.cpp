@@ -629,6 +629,54 @@ TEST(ServePrefill, PromptHeavyOpenLoopQueueingStaysConsistent) {
   }
 }
 
+TEST(ServePrefill, LonePromptReachesFirstTokenWithinCeilPOverCTicks) {
+  // A lone P-token prompt at chunk C is consumed in ceil(P / C) prefill
+  // ticks, the last of which emits the first token; the + 1 leaves room
+  // for an admission tick. Anything beyond that means the engine stopped
+  // chunking (the lockstep needs P ticks).
+  constexpr int kPrompt = 23;
+  constexpr int kChunk = 5;
+  const serve::Request lone = serve::long_prompt_requests(
+      tiny_model()->config, /*count=*/1, /*base_prompt_len=*/5, kPrompt,
+      /*long_every=*/1, /*max_new_tokens=*/6)[0];
+  ASSERT_EQ(lone.prompt.size(), static_cast<std::size_t>(kPrompt));
+  serve::Engine engine = make_chunked_engine(/*max_batch=*/2, kChunk, 0);
+  engine.submit(lone);
+  const serve::RequestResult result = engine.run().results.front();
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_GE(result.first_token_tick, result.admit_tick);
+  EXPECT_LE(result.first_token_tick - result.admit_tick,
+            (kPrompt + kChunk - 1) / kChunk + 1);
+}
+
+TEST(ServePrefill, BudgetKeepsDecodeFlatUnderLongPrompts) {
+  // With the per-tick prefill budget engaged, streaming long prompts in
+  // must not stall everyone else's decode: the p99 inter-token gap with
+  // every 3rd prompt long stays within 1.25x the same engine's gap on the
+  // short prompts alone. Prompts swallowed whole in one tick break it.
+  const auto serve_mix = [](int long_every) {
+    std::vector<serve::Request> requests = serve::long_prompt_requests(
+        tiny_model()->config, /*count=*/6, /*base_prompt_len=*/5,
+        /*long_prompt_len=*/23, long_every, /*max_new_tokens=*/6);
+    serve::ArrivalSpec arrival;
+    arrival.kind = serve::ArrivalSpec::Kind::kPoisson;
+    arrival.rate = 0.2;
+    arrival.seed = 7;
+    serve::stamp_arrivals(requests, serve::generate_arrivals(arrival, 6));
+    serve::Engine engine =
+        make_chunked_engine(/*max_batch=*/2, 5, 5, /*with_accelerator=*/true);
+    for (const serve::Request& req : requests) engine.submit(req);
+    return engine.run();
+  };
+  const serve::Report with_long = serve_mix(/*long_every=*/3);
+  const serve::Report short_only = serve_mix(/*long_every=*/0);
+  ASSERT_EQ(with_long.completed, 6);
+  ASSERT_EQ(short_only.completed, 6);
+  ASSERT_GT(short_only.p99_inter_token_seconds, 0.0);
+  EXPECT_LE(with_long.p99_inter_token_seconds,
+            1.25 * short_only.p99_inter_token_seconds);
+}
+
 TEST(ServeEngine, UndersizedPoolDegradesToErrorResults) {
   // 2 pages of 16 tokens: request 0 (4 + 4 - 1 positions) fits, request 1
   // (40 prompt tokens -> 3+ pages) can never fit and must surface as an

@@ -87,6 +87,7 @@ std::vector<serve::Request> suite_requests(int count = 4,
 // --- The oracle: speculative == target-only, every pair, both widths ---
 
 void expect_all_pairs_bit_identical(int threads) {
+  constexpr int kDraftK = 3;
   common::ThreadPool::set_global_threads(threads);
   const std::vector<serve::Request> requests = suite_requests();
   for (const std::string& target : ladder()) {
@@ -96,7 +97,7 @@ void expect_all_pairs_bit_identical(int threads) {
     ASSERT_EQ(expect.completed,
               static_cast<std::int64_t>(requests.size()));
     for (const std::string& draft : ladder()) {
-      serve::Engine engine = make_engine(target, draft, /*draft_k=*/3);
+      serve::Engine engine = make_engine(target, draft, kDraftK);
       const serve::Report got = run_requests(engine, requests);
       ASSERT_EQ(got.results.size(), expect.results.size());
       for (std::size_t i = 0; i < got.results.size(); ++i) {
@@ -110,6 +111,11 @@ void expect_all_pairs_bit_identical(int threads) {
           << "draft " << draft << " -> target " << target;
       EXPECT_GT(got.draft_cycles, 0);
       EXPECT_GT(got.drafted_tokens, 0);
+      // Token accounting: no cycle drafts past its window, no draft is
+      // accepted twice, and speculation emits what the target alone does.
+      EXPECT_LE(got.drafted_tokens, got.draft_cycles * kDraftK);
+      EXPECT_LE(got.accepted_tokens, got.drafted_tokens);
+      EXPECT_EQ(got.generated_tokens, expect.generated_tokens);
     }
   }
   common::ThreadPool::set_global_threads(common::ThreadPool::env_threads());

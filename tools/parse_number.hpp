@@ -1,0 +1,31 @@
+// Whole-token numeric flag values for the recorders: the value must be one
+// finite number and nothing after it, no smaller than the flag's floor.
+// "2x", "banana", "", "inf", "-1" for an unsigned flag and an overflowing
+// value are all rejected, where atoi/strtoull would read a prefix, a zero
+// or a wrapped value.
+#pragma once
+
+#include <charconv>
+#include <cmath>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
+
+namespace bbal::tools {
+
+/// Parse all of `text` as a finite T >= lo into `out`; false (and `out`
+/// untouched) otherwise.
+template <typename T>
+[[nodiscard]] bool parse_number(std::string_view text, T lo, T& out) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !(value >= lo)) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  out = value;
+  return true;
+}
+
+}  // namespace bbal::tools

@@ -62,8 +62,9 @@
 // --draft S --draft-k N turns on speculative decoding for every strategy
 // row (docs/SPECULATIVE.md): a second engine backend on strategy S drafts
 // N tokens per cycle and the row's own strategy verifies them. Greedy
-// verification makes this a scheduling change only — the stream hashes
-// must equal the target-only rows' exactly. Ad-hoc like the other pinning
+// verification makes this a scheduling change only, and the tool holds
+// it to that: each row is re-served on a no-draft sibling engine and
+// every stream must match it exactly. Ad-hoc like the other pinning
 // flags: the committed sections are skipped. WITHOUT the flags the tool
 // appends the committed speculative comparison instead: the synthetic mix
 // on cross-tier (draft -> target) pairs, each row named by its draft spec
@@ -78,19 +79,28 @@
 // a fault-free sibling run: completed streams must be bit-identical,
 // partial output must be a prefix of the sibling's stream, and every
 // failure must carry a typed reason — the CI chaos smoke's hash gate.
+//
+// This is the one serving harness: the study tables in docs/ are these
+// flags' rows — the policy table is --workload shared-prefix --policy P
+// (BBAL_SERVE_PREFIX=64), the chunk sweep --workload long-prompt
+// --prefill-chunk C and the speculative frontier --draft D --draft-k K.
+// Every numeric flag must be one whole number in range, else exit 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bbal/registry.hpp"
 #include "common/threadpool.hpp"
+#include "parse_number.hpp"
 #include "quant/kv_codec.hpp"
 #include "serve/engine.hpp"
 #include "serve/faults.hpp"
@@ -112,23 +122,24 @@ bool is_prefix(const std::vector<int>& partial, const std::vector<int>& full) {
   return std::equal(partial.begin(), partial.end(), full.begin());
 }
 
-/// The chaos smoke's hash gate: every faulted result must agree with the
-/// fault-free sibling run of the same engine configuration — completed
-/// streams bit-identical, partial output a strict prefix of the sibling's
-/// stream, and every failure typed (reason != none). Greedy decoding makes
-/// this exact: a request's continuation is a pure function of its prompt,
-/// so no fault may change a token it does not remove. Returns false (and
+/// The sibling gate's check (main's sibling_agrees): every result must agree
+/// with the run of a sibling engine that has the same configuration minus
+/// the features under test — completed streams bit-identical, partial output
+/// a strict prefix of the sibling's stream, and every failure typed
+/// (reason != none). Greedy decoding makes this exact: a request's
+/// continuation is a pure function of its prompt, so neither a fault nor
+/// a draft may change a token it does not remove. Returns false (and
 /// prints why) on any violation.
-bool chaos_rows_agree(const char* label, const bbal::serve::Report& faulted,
-                      const bbal::serve::Report& clean) {
+bool chaos_rows_agree(const char* label, const bbal::serve::Report& run,
+                      const bbal::serve::Report& sibling) {
   using bbal::serve::FinishReason;
-  for (std::size_t i = 0; i < faulted.results.size(); ++i) {
-    const auto& f = faulted.results[i];
-    const auto& c = clean.results[i];
+  for (std::size_t i = 0; i < run.results.size(); ++i) {
+    const auto& f = run.results[i];
+    const auto& c = sibling.results[i];
     if (f.ok && f.generated != c.generated) {
       std::fprintf(stderr,
-                   "  %s: request %zu completed under faults but diverged "
-                   "from the fault-free stream\n",
+                   "  %s: request %zu completed but diverged from the "
+                   "sibling's stream\n",
                    label, i);
       return false;
     }
@@ -140,7 +151,7 @@ bool chaos_rows_agree(const char* label, const bbal::serve::Report& faulted,
     if (!f.ok && !is_prefix(f.generated, c.generated)) {
       std::fprintf(stderr,
                    "  %s: request %zu partial output is not a prefix of the "
-                   "fault-free stream\n",
+                   "sibling's stream\n",
                    label, i);
       return false;
     }
@@ -174,6 +185,14 @@ int main(int argc, char** argv) {
   const auto bad = [](const std::string& flag, const std::string& value) {
     return "bad " + flag + " value \"" + value + "\"";
   };
+  // A numeric flag's parser: the whole value must be one number >= lo.
+  const auto number = [&bad](const char* flag, auto& out, auto lo) -> Parser {
+    using T = std::remove_reference_t<decltype(out)>;
+    return [&bad, flag, out = &out, lo](const std::string& v) {
+      const bool ok = tools::parse_number<T>(v, static_cast<T>(lo), *out);
+      return ok ? std::string() : bad(flag, v);
+    };
+  };
   const std::vector<std::pair<std::string, Parser>> value_flags = {
       {"--workload",
        [&](const std::string& v) {
@@ -183,31 +202,15 @@ int main(int argc, char** argv) {
                             v == "long-prompt" || v.rfind("trace=", 0) == 0;
          return known ? "" : bad("--workload", v);
        }},
-      {"--seed",
-       [&](const std::string& v) {
-         seed = std::strtoull(v.c_str(), nullptr, 10);
-         return std::string();
-       }},
-      {"--rate",
-       [&](const std::string& v) {
-         rate = std::strtod(v.c_str(), nullptr);
-         return rate > 0.0 ? "" : bad("--rate", v);
-       }},
-      {"--threads",
-       [&](const std::string& v) {
-         threads_flag = std::atoi(v.c_str());
-         return threads_flag > 0 ? "" : bad("--threads", v);
-       }},
+      {"--seed", number("--seed", seed, 0)},
+      {"--rate", number("--rate", rate, std::numeric_limits<double>::min())},
+      {"--threads", number("--threads", threads_flag, 1)},
       {"--policy",
        [&](const std::string& v) {
          policy = v;
          return serve::make_policy(v).is_ok() ? "" : bad("--policy", v);
        }},
-      {"--prefill-chunk",
-       [&](const std::string& v) {
-         prefill_chunk = std::atoi(v.c_str());
-         return prefill_chunk >= 1 ? "" : bad("--prefill-chunk", v);
-       }},
+      {"--prefill-chunk", number("--prefill-chunk", prefill_chunk, 1)},
       {"--kv-format",
        [&](const std::string& v) {
          const auto parsed = quant::KvFormat::parse(v);
@@ -221,11 +224,7 @@ int main(int argc, char** argv) {
          const auto parsed = quant::StrategySpec::parse(v);
          return parsed.is_ok() ? "" : "--draft: " + parsed.message();
        }},
-      {"--draft-k",
-       [&](const std::string& v) {
-         draft_k = std::atoi(v.c_str());
-         return draft_k >= 1 ? "" : bad("--draft-k", v);
-       }},
+      {"--draft-k", number("--draft-k", draft_k, 1)},
       {"--fault-plan",
        [&](const std::string& v) {
          const auto parsed = serve::parse_fault_plan(v);
@@ -233,11 +232,7 @@ int main(int argc, char** argv) {
          fault_plan = parsed.value();
          return std::string();
        }},
-      {"--deadline",
-       [&](const std::string& v) {
-         deadline_ticks = std::atoll(v.c_str());
-         return deadline_ticks >= 1 ? "" : bad("--deadline", v);
-       }},
+      {"--deadline", number("--deadline", deadline_ticks, 1)},
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -337,70 +332,93 @@ int main(int argc, char** argv) {
     return report;
   };
 
-  // Build the request mix and its self-describing provenance string. The
-  // descriptor lands in meta and in every row ("workload", part of the
-  // bench_compare row key), so a baseline names the traffic that made it.
-  std::vector<serve::Request> requests;
-  std::string descriptor;
-  if (workload == "synthetic") {
-    requests = serve::synthetic_requests(prepared->config, num_requests,
-                                         /*base_prompt_len=*/12, new_tokens,
-                                         seed);
-    descriptor = "synthetic(n=" + std::to_string(num_requests) +
-                 ",seed=" + std::to_string(seed) + ")";
-  } else if (workload == "shared-prefix") {
-    const int prefix_len = env_int("BBAL_SERVE_PREFIX", 8);
-    requests = serve::shared_prefix_requests(prepared->config, num_requests,
-                                             prefix_len, /*suffix_len=*/4,
-                                             new_tokens, seed);
-    descriptor = "shared-prefix(n=" + std::to_string(num_requests) +
-                 ",prefix=" + std::to_string(prefix_len) +
-                 ",seed=" + std::to_string(seed) + ")";
-  } else if (workload == "long-prompt") {
-    const int long_prompt = env_int("BBAL_SERVE_LONG_PROMPT", 96);
-    const int long_every = env_int("BBAL_SERVE_LONG_EVERY", 4);
-    requests = serve::long_prompt_requests(prepared->config, num_requests,
-                                           /*base_prompt_len=*/12, long_prompt,
-                                           long_every, new_tokens, seed);
-    serve::ArrivalSpec spec;
-    spec.kind = serve::ArrivalSpec::Kind::kPoisson;
-    spec.rate = rate;
-    spec.seed = seed;
-    const auto ticks = serve::generate_arrivals(spec, num_requests);
-    serve::stamp_arrivals(requests, ticks);
-    descriptor = "long-prompt(n=" + std::to_string(num_requests) +
-                 ",long=" + std::to_string(long_prompt) +
-                 ",every=" + std::to_string(long_every) +
-                 ",seed=" + std::to_string(seed) + ")+" +
-                 serve::describe_arrivals(spec);
-  } else if (workload == "poisson" || workload == "bursty") {
-    requests = serve::synthetic_requests(prepared->config, num_requests,
-                                         /*base_prompt_len=*/12, new_tokens,
-                                         seed);
-    serve::ArrivalSpec spec;
-    spec.kind = workload == "poisson" ? serve::ArrivalSpec::Kind::kPoisson
-                                      : serve::ArrivalSpec::Kind::kBursty;
-    spec.rate = rate;
-    spec.seed = seed;
-    const auto ticks = serve::generate_arrivals(spec, num_requests);
-    serve::stamp_arrivals(requests, ticks);
-    descriptor = serve::describe_arrivals(spec);
-  } else {  // trace=PATH, validated during flag parsing
+  // The sibling gate of chaos and speculative rows: re-serve `mix` on an
+  // engine with `options` minus the draft (callers leave out the fault
+  // harness) and require `report` to agree with it stream for stream.
+  const auto sibling_agrees =
+      [&](const std::string& label, const quant::StrategySpec& spec,
+          serve::Engine::Options options,
+          const std::vector<serve::Request>& mix, const serve::Report& report) {
+    options.draft.clear();
+    options.draft_k = 0;
+    const auto sibling =
+        serve_row(label + " (sibling)", spec, std::move(options), mix,
+                  /*require_complete=*/false);
+    return sibling && chaos_rows_agree(label.c_str(), report, *sibling);
+  };
+
+  // A generated request mix and its self-describing provenance string, by
+  // workload name. The descriptor lands in meta and in every row
+  // ("workload", part of the bench_compare row key), so a baseline names
+  // the traffic that made it. The committed sections build their mixes
+  // here too; only shared-prefix reads `prefix_len`.
+  struct Mix {
+    std::vector<serve::Request> requests;
+    std::string descriptor;
+  };
+  const auto build_mix = [&](const std::string& name, int prefix_len = 0) {
+    const std::string count = "(n=" + std::to_string(num_requests);
+    const std::string seeded = ",seed=" + std::to_string(seed) + ")";
+    Mix mix;
+    if (name == "shared-prefix") {
+      mix.requests = serve::shared_prefix_requests(
+          prepared->config, num_requests, prefix_len, /*suffix_len=*/4,
+          new_tokens, seed);
+      mix.descriptor = "shared-prefix" + count +
+                       ",prefix=" + std::to_string(prefix_len) + seeded;
+      return mix;
+    }
+    if (name == "long-prompt") {
+      const int long_prompt = env_int("BBAL_SERVE_LONG_PROMPT", 96);
+      const int long_every = env_int("BBAL_SERVE_LONG_EVERY", 4);
+      mix.requests = serve::long_prompt_requests(
+          prepared->config, num_requests, /*base_prompt_len=*/12, long_prompt,
+          long_every, new_tokens, seed);
+      mix.descriptor = "long-prompt" + count +
+                       ",long=" + std::to_string(long_prompt) +
+                       ",every=" + std::to_string(long_every) + seeded + "+";
+    } else {
+      mix.requests = serve::synthetic_requests(
+          prepared->config, num_requests, /*base_prompt_len=*/12, new_tokens,
+          seed);
+      if (name == "synthetic") {
+        mix.descriptor = "synthetic" + count + seeded;
+        return mix;
+      }
+    }
+    // long-prompt, poisson and bursty: seeded open-loop arrivals at --rate.
+    serve::ArrivalSpec arrival;
+    arrival.kind = name == "bursty" ? serve::ArrivalSpec::Kind::kBursty
+                                    : serve::ArrivalSpec::Kind::kPoisson;
+    arrival.rate = rate;
+    arrival.seed = seed;
+    serve::stamp_arrivals(mix.requests,
+                          serve::generate_arrivals(arrival, num_requests));
+    mix.descriptor += serve::describe_arrivals(arrival);
+    return mix;
+  };
+
+  Mix mix;
+  if (workload.rfind("trace=", 0) == 0) {
     const std::string path = workload.substr(6);
     auto entries = serve::read_trace(path);
     if (!entries.is_ok()) {
       std::fprintf(stderr, "record_serve: %s\n", entries.message().c_str());
       return 1;
     }
-    requests = serve::materialize_trace(prepared->config, entries.value(),
-                                        seed);
-    descriptor = "trace(" + path + ",seed=" + std::to_string(seed) + ")";
+    mix.requests = serve::materialize_trace(prepared->config, entries.value(),
+                                            seed);
+    mix.descriptor = "trace(" + path + ",seed=" + std::to_string(seed) + ")";
+  } else {
+    mix = build_mix(workload, env_int("BBAL_SERVE_PREFIX", 8));
   }
+  std::vector<serve::Request> requests = std::move(mix.requests);
+  std::string descriptor = std::move(mix.descriptor);
 
   // Chaos mode (--fault-plan / --preempt / --deadline): deadline-stamp the
   // mix and suffix the descriptor so chaos rows never collide with default
   // rows under bench_compare. The fault-free request copy keeps the
-  // original stamps — it feeds the sibling runs the chaos gate diffs
+  // original stamps — it feeds the sibling runs the sibling gate diffs
   // against.
   const bool chaos = !fault_plan.empty() || preempt || deadline_ticks > 0;
   const std::vector<serve::Request> clean_requests = requests;
@@ -422,6 +440,7 @@ int main(int argc, char** argv) {
                model_name.c_str(), strategies.size());
 
   // The strategy rows' engine configuration, minus the fault harness.
+  // The sibling runs use it minus the draft as well.
   serve::Engine::Options row_options;
   row_options.max_batch = max_batch;
   row_options.policy = policy;
@@ -439,10 +458,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> rows;
-  // Strategy-row stream hashes, kept so the committed speculative rows can
-  // be checked against their target-only siblings: greedy verification
-  // means speculation must reproduce these streams bit for bit.
-  std::vector<std::pair<std::string, std::uint32_t>> strategy_hashes;
   for (const std::string& strategy : strategies) {
     const auto spec = quant::StrategySpec::parse(strategy);
     if (!spec.is_ok()) {
@@ -459,15 +474,11 @@ int main(int argc, char** argv) {
                             requests, /*require_complete=*/!chaos);
     if (!report) return 1;
     report->workload = descriptor;
+    if ((chaos || draft_k > 0) &&
+        !sibling_agrees(strategy, spec.value(), row_options, clean_requests,
+                        *report))
+      return 1;
     if (chaos) {
-      // The hash gate: a fault-free sibling engine (same strategy, same
-      // configuration, no faults/preempt/deadlines) serves the unstamped
-      // mix; the faulted run must agree stream for stream.
-      const auto clean =
-          serve_row(strategy + " (sibling)", spec.value(), row_options,
-                    clean_requests, /*require_complete=*/false);
-      if (!clean || !chaos_rows_agree(strategy.c_str(), *report, *clean))
-        return 1;
       std::fprintf(stderr,
                    "  %s: %lld/%lld completed, hash %u, %lld preempted "
                    "%lld resumed, %lld timeout %lld cancelled %lld oom\n",
@@ -495,7 +506,6 @@ int main(int argc, char** argv) {
                    report->stream_hash,
                    static_cast<long long>(report->weights_bytes));
     }
-    strategy_hashes.emplace_back(strategy, report->stream_hash);
     rows.push_back(report->to_json());
   }
 
@@ -514,15 +524,9 @@ int main(int argc, char** argv) {
   // the stream hash records any token divergence.
   if (committed) {
     const int frontier_prefix = env_int("BBAL_SERVE_FRONTIER_PREFIX", 24);
-    const auto frontier_requests = serve::shared_prefix_requests(
-        prepared->config, num_requests, frontier_prefix, /*suffix_len=*/4,
-        new_tokens, seed);
-    const std::string frontier_descriptor =
-        "shared-prefix(n=" + std::to_string(num_requests) +
-        ",prefix=" + std::to_string(frontier_prefix) +
-        ",seed=" + std::to_string(seed) + ")";
+    const Mix frontier = build_mix("shared-prefix", frontier_prefix);
     std::fprintf(stderr, "frontier: %zu requests [%s] under %zu KV formats\n",
-                 frontier_requests.size(), frontier_descriptor.c_str(),
+                 frontier.requests.size(), frontier.descriptor.c_str(),
                  strategies.size());
     for (const std::string& format : strategies) {
       serve::Engine::Options options;
@@ -530,9 +534,9 @@ int main(int argc, char** argv) {
       options.policy = "prefix-aware";
       options.kv_format = format;
       auto report = serve_row("kv=" + format, bbfp42, std::move(options),
-                              frontier_requests, /*require_complete=*/true);
+                              frontier.requests, /*require_complete=*/true);
       if (!report) return 1;
-      report->workload = frontier_descriptor;
+      report->workload = frontier.descriptor;
       std::fprintf(stderr, "  kv=%s: %lld tokens, hash %u, kv peak %lld B\n",
                    format.c_str(),
                    static_cast<long long>(report->generated_tokens),
@@ -550,25 +554,9 @@ int main(int argc, char** argv) {
   // The chunk size is named in the workload descriptor so the rows key
   // separately under bench_compare.
   if (committed) {
-    const int long_prompt = env_int("BBAL_SERVE_LONG_PROMPT", 96);
-    const int long_every = env_int("BBAL_SERVE_LONG_EVERY", 4);
-    auto prefill_requests = serve::long_prompt_requests(
-        prepared->config, num_requests, /*base_prompt_len=*/12, long_prompt,
-        long_every, new_tokens, seed);
-    serve::ArrivalSpec arrival;
-    arrival.kind = serve::ArrivalSpec::Kind::kPoisson;
-    arrival.rate = rate;
-    arrival.seed = seed;
-    const auto ticks = serve::generate_arrivals(arrival, num_requests);
-    serve::stamp_arrivals(prefill_requests, ticks);
-    const std::string base_descriptor =
-        "long-prompt(n=" + std::to_string(num_requests) +
-        ",long=" + std::to_string(long_prompt) +
-        ",every=" + std::to_string(long_every) +
-        ",seed=" + std::to_string(seed) + ")+" +
-        serve::describe_arrivals(arrival);
+    const Mix prefill = build_mix("long-prompt");
     std::fprintf(stderr, "prefill comparison: %zu requests [%s]\n",
-                 prefill_requests.size(), base_descriptor.c_str());
+                 prefill.requests.size(), prefill.descriptor.c_str());
     for (const int chunk : {1, 8, 32}) {
       serve::Engine::Options options;
       options.max_batch = max_batch;
@@ -577,10 +565,10 @@ int main(int argc, char** argv) {
       options.prefill_budget = chunk > 1 ? chunk : 0;
       auto report =
           serve_row("chunk=" + std::to_string(chunk), bbfp42,
-                    std::move(options), prefill_requests,
+                    std::move(options), prefill.requests,
                     /*require_complete=*/true);
       if (!report) return 1;
-      report->workload = base_descriptor + "+chunk=" + std::to_string(chunk);
+      report->workload = prefill.descriptor + "+chunk=" + std::to_string(chunk);
       std::fprintf(stderr,
                    "  chunk=%2d: hash %u, mean ttft %.4gs, p99 itl %.4gs, "
                    "%lld mixed ticks\n",
@@ -591,12 +579,12 @@ int main(int argc, char** argv) {
     }
   }
   // The committed speculative comparison: cross-tier (draft -> target)
-  // pairs over the same synthetic mix as the strategy rows, each target
-  // priced on its iso-area accelerator and each draft on an iso-area
-  // re-provisioning of the SAME silicon budget. Greedy verification makes
-  // every row's stream hash equal its target-only sibling's above — the
-  // tool enforces that here, so a committed speculative row can never
-  // disagree with the baseline it claims to accelerate. The pairs span
+  // pairs over the default synthetic mix, each target priced on its
+  // iso-area accelerator and each draft on an iso-area re-provisioning of
+  // the SAME silicon budget. Greedy verification makes every row's
+  // streams equal its target-only sibling's — the sibling gate enforces
+  // that here, so a committed speculative row can never disagree with the
+  // baseline it claims to accelerate. The pairs span
   // the interesting frontier: the INT8 self-draft (acceptance exactly
   // 1.0 on the target's own array, so it cannot clear parity), the best
   // cross-tier pair (a high-fidelity BBFP(6,3) draft under the INT8
@@ -613,14 +601,10 @@ int main(int argc, char** argv) {
         {"INT8", "BBFP(6,3)", 2},
         {"BBFP(4,2)", "BBFP(4,2)", 4},
     };
-    const auto spec_requests = serve::synthetic_requests(
-        prepared->config, num_requests, /*base_prompt_len=*/12, new_tokens,
-        seed);
-    const std::string spec_descriptor =
-        "synthetic(n=" + std::to_string(num_requests) +
-        ",seed=" + std::to_string(seed) + ")";
+    const Mix synthetic = build_mix("synthetic");
     std::fprintf(stderr, "speculative: %zu requests [%s] under %zu pairs\n",
-                 spec_requests.size(), spec_descriptor.c_str(), pairs.size());
+                 synthetic.requests.size(), synthetic.descriptor.c_str(),
+                 pairs.size());
     for (const SpecPair& pair : pairs) {
       const auto spec = quant::StrategySpec::parse(pair.target)
                             .expect("speculative target");
@@ -629,25 +613,13 @@ int main(int argc, char** argv) {
       options.policy = "fifo";
       options.draft = pair.draft;
       options.draft_k = pair.k;
-      auto report = serve_row(std::string(pair.target) + "<-" + pair.draft,
-                              spec, std::move(options), spec_requests,
+      const std::string label = std::string(pair.target) + "<-" + pair.draft;
+      auto report = serve_row(label, spec, options, synthetic.requests,
                               /*require_complete=*/true);
-      if (!report) return 1;
-      report->workload = spec_descriptor;
-      // The strategy rows above served this exact mix when the run used
-      // the default workload — cross-check the identity there.
-      if (workload == "synthetic" && policy == "fifo") {
-        for (const auto& [strategy, hash] : strategy_hashes) {
-          if (strategy == pair.target && report->stream_hash != hash) {
-            std::fprintf(stderr,
-                         "  %s<-%s: stream hash %u diverged from the "
-                         "target-only row's %u — speculation changed "
-                         "tokens\n",
-                         pair.target, pair.draft, report->stream_hash, hash);
-            return 1;
-          }
-        }
-      }
+      if (!report ||
+          !sibling_agrees(label, spec, options, synthetic.requests, *report))
+        return 1;
+      report->workload = synthetic.descriptor;
       std::fprintf(stderr,
                    "  %s<-%s k=%d: hash %u, acceptance %.3f, speedup %.3f\n",
                    pair.target, pair.draft, pair.k, report->stream_hash,

@@ -15,7 +15,8 @@
 // The committed sweep shows the saturation knee the study is about: at
 // the low load the engine keeps up (goodput 1.0, queues empty), at the
 // top load arrivals outrun capacity (p99 TTFT >= 2x the low-load point,
-// goodput < 1.0). bench_serve_slo charts and gates the same knee.
+// goodput < 1.0); tests/test_load.cpp's overload test holds the same
+// shape on a small model.
 //
 // Output shape: {"meta": {...}, "rows": [...]}, one row per
 // (load, policy), the same contract as record_serve/record_table2.
@@ -36,13 +37,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bbal/registry.hpp"
 #include "common/threadpool.hpp"
+#include "parse_number.hpp"
 #include "serve/engine.hpp"
 #include "serve/faults.hpp"
 #include "serve/load.hpp"
@@ -80,43 +84,30 @@ int main(int argc, char** argv) {
   int prefill_chunk = 0;  ///< 0: the engine default (no chunking)
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--prefill-chunk") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_slo: --prefill-chunk needs a value\n");
-        return 2;
-      }
-      prefill_chunk = std::atoi(argv[++i]);
-      if (prefill_chunk < 1) {
-        std::fprintf(stderr, "record_slo: bad --prefill-chunk value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "record_slo: --threads needs a value\n");
-        return 2;
-      }
-      threads_flag = std::atoi(argv[++i]);
-      if (threads_flag <= 0) {
-        std::fprintf(stderr, "record_slo: bad --threads value \"%s\"\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (arg == "--slo-ttft" || arg == "--slo-itl") {
+    if (arg == "--threads" || arg == "--prefill-chunk" ||
+        arg == "--slo-ttft" || arg == "--slo-itl") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "record_slo: %s needs a value\n", arg.c_str());
         return 2;
       }
-      char* end = nullptr;
-      const double value = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || value <= 0.0) {
+      // Every value is one whole number: a count >= 1 or seconds > 0.
+      const std::string_view value = argv[++i];
+      bool ok = false;
+      if (arg == "--threads") {
+        ok = tools::parse_number(value, 1, threads_flag);
+      } else if (arg == "--prefill-chunk") {
+        ok = tools::parse_number(value, 1, prefill_chunk);
+      } else {
+        ok = tools::parse_number(value, std::numeric_limits<double>::min(),
+                                 arg == "--slo-ttft" ? slo_ttft : slo_itl);
+      }
+      if (!ok) {
         std::fprintf(stderr, "record_slo: bad %s value \"%s\"\n", arg.c_str(),
                      argv[i]);
         return 2;
       }
-      (arg == "--slo-ttft" ? slo_ttft : slo_itl) = value;
+    } else if (arg == "--quick") {
+      quick = true;
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
                    "usage: record_slo [out.json] [--threads N] [--quick] "

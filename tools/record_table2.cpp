@@ -19,6 +19,7 @@
 #include "bbal/registry.hpp"
 #include "bbal/sweep.hpp"
 #include "common/threadpool.hpp"
+#include "parse_number.hpp"
 
 int main(int argc, char** argv) {
   using namespace bbal;
@@ -33,8 +34,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "record_table2: --threads needs a value\n");
         return 2;
       }
-      threads_flag = std::atoi(argv[++i]);
-      if (threads_flag <= 0) {
+      if (!tools::parse_number(argv[++i], 1, threads_flag)) {
         std::fprintf(stderr, "record_table2: bad --threads value \"%s\"\n",
                      argv[i]);
         return 2;
