@@ -21,11 +21,14 @@ int main() {
       {"BBFP(6,4)", 231.14},{"BBFP(6,5)", 224.70},
   };
 
-  const double norm_base = pe_for_strategy("BBFP(6,3)").area_um2(lib);
+  const auto pe_of = [](const std::string& name) {
+    return pe_for_spec(bbal::quant::spec_of(name)).expect("Table III PE");
+  };
+  const double norm_base = pe_of("BBFP(6,3)").area_um2(lib);
 
   TextTable table({"Strategy", "Area um2", "Norm", "Paper um2", "Paper Norm"});
   for (const auto& [name, paper_area] : strategies) {
-    const double area = pe_for_strategy(name).area_um2(lib);
+    const double area = pe_of(name).area_um2(lib);
     table.add_row({name, TextTable::num(area, 2),
                    TextTable::num(area / norm_base, 2),
                    TextTable::num(paper_area, 2),

@@ -30,16 +30,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad strategy: %s\n", spec.message().c_str());
     return 1;
   }
-
-  AcceleratorConfig cfg;
-  cfg.strategy = spec.value().to_string();
-  cfg.array_rows = cfg.array_cols = 16;
+  const auto bound = with_strategy(AcceleratorConfig{}, spec.value());
+  if (!bound.is_ok()) {
+    std::fprintf(stderr, "accelerator: %s\n", bound.message().c_str());
+    return 1;
+  }
+  const AcceleratorConfig& cfg = bound.value();
 
   std::printf("BBAL accelerator simulation — strategy %s, %dx%d PEs\n",
-              cfg.strategy.c_str(), cfg.array_rows, cfg.array_cols);
+              cfg.pe.name.c_str(), cfg.array_rows, cfg.array_cols);
   const auto fmt = spec.value().block_format();
   std::printf("PE area: %.1f um2 each, array %.0f um2, encoders %.0f um2\n\n",
-              cfg.pe_design().area_um2(hw::CellLibrary::tsmc28()),
+              cfg.pe.area_um2(hw::CellLibrary::tsmc28()),
               cfg.pe_array_area_um2(),
               fmt.is_ok() ? encoder_area_um2(fmt.value(), cfg.array_cols)
                           : 0.0);
@@ -83,7 +85,7 @@ int main(int argc, char** argv) {
               run.energy.core_j * 1e6, run.energy.buffer_j * 1e6,
               run.energy.dram_j * 1e6, run.energy.static_j * 1e6,
               run.energy.total_j() * 1e6);
-  std::printf("Weight footprint under %s: %.2f MB\n", cfg.strategy.c_str(),
+  std::printf("Weight footprint under %s: %.2f MB\n", cfg.pe.name.c_str(),
               report.memory_footprint_bytes / (1024.0 * 1024.0));
 
   // Functional check: the integer-datapath GEMM against FP32.

@@ -6,19 +6,30 @@
 
 namespace bbal::accel {
 
+Result<AcceleratorConfig> with_strategy(AcceleratorConfig cfg,
+                                        const quant::StrategySpec& spec) {
+  using R = Result<AcceleratorConfig>;
+  Result<hw::DatapathDesign> design = hw::pe_for_spec(spec);
+  if (!design.is_ok())
+    return R::error(spec.to_string() +
+                    " has no hardware cost model; drop the accelerator or "
+                    "choose a cost-modelled strategy");
+  cfg.pe = std::move(design).value();
+  return cfg;
+}
+
 Result<AcceleratorConfig> make_iso_area_config(const quant::StrategySpec& spec,
                                                double pe_area_budget_um2,
                                                double dram_gbps) {
   using R = Result<AcceleratorConfig>;
+  R bound = with_strategy(AcceleratorConfig{}, spec);
+  if (!bound.is_ok()) return bound;
   if (pe_area_budget_um2 <= 0.0)
     return R::error("PE area budget must be positive");
-  const Result<hw::DatapathDesign> design = hw::pe_for_spec(spec);
-  if (!design.is_ok()) return R::error(design.message());
 
-  AcceleratorConfig cfg;
-  cfg.strategy = spec.to_string();
+  AcceleratorConfig cfg = std::move(bound).value();
   cfg.dram_gbps = dram_gbps;
-  const double pe_area = design.value().area_um2(hw::CellLibrary::tsmc28());
+  const double pe_area = cfg.pe.area_um2(hw::CellLibrary::tsmc28());
   auto n_pe = static_cast<int>(pe_area_budget_um2 / pe_area);
   // The quotient can land a rounding step below an exact multiple (21 x 21
   // INT8 PEs span 147646.80000000002 um2, and that over one PE's area is
@@ -35,15 +46,6 @@ Result<AcceleratorConfig> make_iso_area_config(const quant::StrategySpec& spec,
   cfg.array_rows = rows;
   cfg.array_cols = cols;
   return cfg;
-}
-
-AcceleratorConfig iso_area_config(const std::string& strategy,
-                                  double pe_area_budget_um2,
-                                  double dram_gbps) {
-  const quant::StrategySpec spec =
-      quant::StrategySpec::parse(strategy).expect("iso_area_config");
-  return make_iso_area_config(spec, pe_area_budget_um2, dram_gbps)
-      .expect("iso_area_config");
 }
 
 }  // namespace bbal::accel

@@ -1,18 +1,21 @@
 // BBAL accelerator configuration (Fig. 7): weight-stationary PE array,
 // on-chip buffers, encoders, FP accumulation path and the nonlinear unit.
+//
+// The PE datapath is resolved once, when a matmul strategy is bound
+// (with_strategy, make_iso_area_config); pricing reads the bound design and
+// never parses a strategy name.
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "hw/datapath_designs.hpp"
 
 namespace bbal::accel {
 
 struct AcceleratorConfig {
-  /// PE datapath strategy: "BBFP(m,o)", "BFPn", "INTn", "FP16", "Oltron",
-  /// "Olive" — resolved through hw::pe_for_strategy.
-  std::string strategy = "BBFP(4,2)";
+  /// PE datapath design; the default is the paper's BBFP(4,2) PE. Rebind it
+  /// through with_strategy rather than by hand.
+  hw::DatapathDesign pe = hw::bbfp_pe(quant::BlockFormat::bbfp(4, 2));
   int array_rows = 16;
   int array_cols = 16;
   double freq_ghz = 1.0;
@@ -22,18 +25,17 @@ struct AcceleratorConfig {
   double dram_gbps = hw::kDramBandwidthGBs;
 
   [[nodiscard]] int pe_count() const { return array_rows * array_cols; }
-  [[nodiscard]] hw::DatapathDesign pe_design() const {
-    return hw::pe_for_strategy(strategy);
-  }
-  /// Storage bits per element of the strategy's number format.
-  [[nodiscard]] double bits_per_element() const {
-    return pe_design().equivalent_bits;
-  }
   /// Total PE-array area, um^2.
   [[nodiscard]] double pe_array_area_um2() const {
-    return pe_design().area_um2(hw::CellLibrary::tsmc28()) * pe_count();
+    return pe.area_um2(hw::CellLibrary::tsmc28()) * pe_count();
   }
 };
+
+/// Bind a matmul strategy to `cfg`: its PE design (hw::pe_for_spec) replaces
+/// cfg.pe, everything else is kept. Errors when the strategy has no hardware
+/// cost model. Session and serve::Engine bind their accelerators here.
+[[nodiscard]] Result<AcceleratorConfig> with_strategy(
+    AcceleratorConfig cfg, const quant::StrategySpec& spec);
 
 /// Build an iso-area configuration: as many PEs of `spec` as fit in
 /// `pe_area_budget_um2`, arranged near-square (Fig. 8's comparison rule).
@@ -41,11 +43,5 @@ struct AcceleratorConfig {
 [[nodiscard]] Result<AcceleratorConfig> make_iso_area_config(
     const quant::StrategySpec& spec, double pe_area_budget_um2,
     double dram_gbps = hw::kDramBandwidthGBs);
-
-/// Name-based convenience; aborts with a message on bad input.
-[[nodiscard]] AcceleratorConfig iso_area_config(const std::string& strategy,
-                                                double pe_area_budget_um2,
-                                                double dram_gbps =
-                                                    hw::kDramBandwidthGBs);
 
 }  // namespace bbal::accel

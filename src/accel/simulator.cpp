@@ -26,8 +26,7 @@ GemmStats simulate_gemm(const AcceleratorConfig& cfg, const GemmShape& shape) {
   GemmStats s;
   s.macs = shape.macs();
 
-  const double bits = cfg.bits_per_element();
-  const double bytes_per_elem = bits / 8.0;
+  const double bytes_per_elem = cfg.pe.equivalent_bits / 8.0;
   const auto r = static_cast<std::int64_t>(cfg.array_rows);
   const auto c = static_cast<std::int64_t>(cfg.array_cols);
   const std::int64_t kt = ceil_div(shape.k, r);
@@ -81,6 +80,9 @@ GemmStats simulate_gemm(const AcceleratorConfig& cfg, const GemmShape& shape) {
   return s;
 }
 
+namespace {
+
+/// Aggregate over a GEMM list.
 GemmStats simulate_gemms(const AcceleratorConfig& cfg,
                          const std::vector<GemmShape>& gemms) {
   GemmStats total;
@@ -88,10 +90,11 @@ GemmStats simulate_gemms(const AcceleratorConfig& cfg,
   return total;
 }
 
+/// Energy of an aggregated run (the config's PE design and buffers).
 EnergyBreakdown energy_of(const AcceleratorConfig& cfg,
                           const GemmStats& stats) {
   const hw::CellLibrary& lib = hw::CellLibrary::tsmc28();
-  const hw::DatapathDesign pe = cfg.pe_design();
+  const hw::DatapathDesign& pe = cfg.pe;
   EnergyBreakdown e;
 
   // Core: one MAC through the PE datapath per MAC operation. The factor
@@ -103,7 +106,7 @@ EnergyBreakdown energy_of(const AcceleratorConfig& cfg,
 
   // Buffers: per-element accesses at the element width.
   const int word_bits =
-      std::max(8, static_cast<int>(std::lround(cfg.bits_per_element())));
+      std::max(8, static_cast<int>(std::lround(pe.equivalent_bits)));
   const hw::SramMacro wbuf = hw::make_sram(cfg.weight_buffer_bytes, word_bits);
   const hw::SramMacro abuf = hw::make_sram(cfg.act_buffer_bytes, word_bits);
   const hw::SramMacro obuf = hw::make_sram(cfg.out_buffer_bytes, 32);
@@ -124,6 +127,8 @@ EnergyBreakdown energy_of(const AcceleratorConfig& cfg,
   e.static_j = (pe_leak_w + buf_leak_w) * seconds;
   return e;
 }
+
+}  // namespace
 
 RunStats simulate_workload(const AcceleratorConfig& cfg,
                            const std::vector<GemmShape>& gemms) {

@@ -38,10 +38,6 @@ struct GemmStats {
 [[nodiscard]] GemmStats simulate_gemm(const AcceleratorConfig& cfg,
                                       const GemmShape& shape);
 
-/// Aggregate over a GEMM list.
-[[nodiscard]] GemmStats simulate_gemms(const AcceleratorConfig& cfg,
-                                       const std::vector<GemmShape>& gemms);
-
 struct EnergyBreakdown {
   double core_j = 0.0;
   double buffer_j = 0.0;
@@ -59,10 +55,6 @@ struct EnergyBreakdown {
   }
 };
 
-/// Energy of an aggregated run (uses the config's PE design and buffers).
-[[nodiscard]] EnergyBreakdown energy_of(const AcceleratorConfig& cfg,
-                                        const GemmStats& stats);
-
 struct RunStats {
   GemmStats gemm;
   double seconds = 0.0;
@@ -70,7 +62,8 @@ struct RunStats {
   EnergyBreakdown energy;
 };
 
-/// Simulate a GEMM workload end to end (cycles -> time -> energy).
+/// Simulate a GEMM workload end to end (cycles -> time -> energy; the
+/// energy uses the config's PE design and buffers).
 [[nodiscard]] RunStats simulate_workload(const AcceleratorConfig& cfg,
                                          const std::vector<GemmShape>& gemms);
 

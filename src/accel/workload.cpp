@@ -40,6 +40,12 @@ std::vector<GemmShape> prefill_gemms(const llm::ModelConfig& cfg, int seq) {
 std::vector<GemmShape> prefill_chunk_gemms(const llm::ModelConfig& cfg,
                                            int base, int chunk) {
   std::vector<GemmShape> gemms;
+  prefill_chunk_gemms(cfg, base, chunk, gemms);
+  return gemms;
+}
+
+void prefill_chunk_gemms(const llm::ModelConfig& cfg, int base, int chunk,
+                         std::vector<GemmShape>& gemms) {
   const std::int64_t d = cfg.d_model;
   const std::int64_t dh = cfg.head_dim();
   const std::int64_t heads = cfg.n_heads;
@@ -61,7 +67,6 @@ std::vector<GemmShape> prefill_chunk_gemms(const llm::ModelConfig& cfg,
     gemms.push_back({m, d, ff, "up"});
     gemms.push_back({m, ff, d, "down"});
   }
-  return gemms;
 }
 
 std::int64_t total_macs(const std::vector<GemmShape>& gemms) {

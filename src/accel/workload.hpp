@@ -58,6 +58,10 @@ struct NlOp {
 /// contexts). With chunk == 1 the list is decode_step_gemms(cfg, base+1).
 [[nodiscard]] std::vector<GemmShape> prefill_chunk_gemms(
     const llm::ModelConfig& cfg, int base, int chunk);
+/// The same GEMMs appended to `out`: a caller that reuses its list across
+/// ticks prices each tick without allocating.
+void prefill_chunk_gemms(const llm::ModelConfig& cfg, int base, int chunk,
+                         std::vector<GemmShape>& out);
 
 /// Total MAC count of a GEMM list.
 [[nodiscard]] std::int64_t total_macs(const std::vector<GemmShape>& gemms);

@@ -51,12 +51,6 @@ struct GateTally {
     t.dff *= n;
     return t;
   }
-
-  /// Total two-input-gate equivalents (rough complexity metric for reports).
-  [[nodiscard]] double gate_equivalents() const {
-    return and2 + or2 + 1.5 * xor2 + 0.5 * inv + 1.5 * mux2 +
-           2.5 * half_adder + 4.5 * full_adder + 2.0 * carry_cell + 4.0 * dff;
-  }
 };
 
 // --- Builders for the structural blocks used across the accelerator -------

@@ -236,22 +236,14 @@ Result<Session> Session::Builder::build() {
     return R::error("no model: call model(...) or prepared(...)");
   }
 
-  // Accelerator: bind the matmul strategy to the cost model.
+  // Accelerator: bind the matmul strategy's PE design to the cost model.
   const bool wants_accel = accel_.has_value() || iso_area_um2_.has_value();
   if (wants_accel) {
-    if (!registry.has_cost_model(matmul))
-      return R::error("accelerator: " + matmul.to_string() +
-                      " has no hardware cost model; drop the accelerator or "
-                      "choose a cost-modelled strategy");
-    if (iso_area_um2_) {
-      auto cfg = accel::make_iso_area_config(matmul, *iso_area_um2_,
-                                             iso_dram_gbps_);
-      if (!cfg.is_ok()) return R::error("accelerator: " + cfg.message());
-      session.accel_ = std::move(cfg).value();
-    } else {
-      accel_->strategy = matmul.to_string();
-      session.accel_ = std::move(*accel_);
-    }
+    auto cfg = accel_ ? accel::with_strategy(std::move(*accel_), matmul)
+                      : accel::make_iso_area_config(matmul, *iso_area_um2_,
+                                                    iso_dram_gbps_);
+    if (!cfg.is_ok()) return R::error("accelerator: " + cfg.message());
+    session.accel_ = std::move(cfg).value();
   }
 
   // Cost workload overrides.

@@ -83,8 +83,9 @@ class Session {
     Builder& nonlinear(std::string_view strategy);
     Builder& nonlinear(quant::StrategySpec spec);
 
-    /// Attach an accelerator; its strategy field is overwritten with the
-    /// session's matmul strategy (one strategy drives both halves).
+    /// Attach an accelerator; its PE design is rebound to the session's
+    /// matmul strategy through accel::with_strategy at build time (one
+    /// strategy drives both halves).
     Builder& accelerator(accel::AcceleratorConfig config);
     /// Iso-area accelerator (Fig. 8's comparison rule), derived from the
     /// matmul strategy's PE design at build time.

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace bbal {
 
@@ -51,12 +50,6 @@ class Rng {
       return sign * stddev * outlier_scale * (1.0 + mag);
     }
     return gaussian(0.0, stddev);
-  }
-
-  /// Sample index from an (unnormalised) discrete distribution.
-  [[nodiscard]] int categorical(const std::vector<double>& weights) {
-    std::discrete_distribution<int> dist(weights.begin(), weights.end());
-    return dist(engine_);
   }
 
   /// Derive an independent child generator (stable split).

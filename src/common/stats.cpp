@@ -45,33 +45,6 @@ double mse(std::span<const double> reference, std::span<const double> approx) {
   return acc / static_cast<double>(reference.size());
 }
 
-double mean_relative_error(std::span<const double> reference,
-                           std::span<const double> approx, double eps) {
-  assert(reference.size() == approx.size());
-  if (reference.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    const double denom = std::max(std::fabs(reference[i]), eps);
-    acc += std::fabs(reference[i] - approx[i]) / denom;
-  }
-  return acc / static_cast<double>(reference.size());
-}
-
-double sqnr_db(std::span<const double> reference,
-               std::span<const double> approx) {
-  assert(reference.size() == approx.size());
-  double signal = 0.0;
-  double noise = 0.0;
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    signal += reference[i] * reference[i];
-    const double d = reference[i] - approx[i];
-    noise += d * d;
-  }
-  if (noise == 0.0) return 300.0;  // effectively exact
-  if (signal == 0.0) return 0.0;
-  return 10.0 * std::log10(signal / noise);
-}
-
 std::vector<std::size_t> abs_histogram(std::span<const double> xs,
                                        double max_value, std::size_t bins) {
   assert(bins > 0 && max_value > 0.0);

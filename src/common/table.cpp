@@ -1,7 +1,6 @@
 #include "common/table.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -20,11 +19,6 @@ std::string TextTable::num(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
-}
-
-std::string TextTable::num_or_na(double v, int precision) {
-  if (!std::isfinite(v)) return "N/A";
-  return num(v, precision);
 }
 
 std::string TextTable::render() const {

@@ -245,10 +245,4 @@ Result<DatapathDesign> pe_for_spec(const quant::StrategySpec& spec) {
   }
 }
 
-DatapathDesign pe_for_strategy(const std::string& name) {
-  const quant::StrategySpec spec =
-      quant::StrategySpec::parse(name).expect("pe_for_strategy");
-  return pe_for_spec(spec).expect("pe_for_strategy");
-}
-
 }  // namespace bbal::hw

@@ -76,9 +76,4 @@ enum class PeVariant { kExponentAdder, kExponentBypass };
 [[nodiscard]] Result<DatapathDesign> pe_for_spec(
     const quant::StrategySpec& spec);
 
-/// PE design for any named strategy. Accepts "FP16", "INTn", "Oltron",
-/// "Olive", "BFPn", "BBFP(m,o)"; aborts with a message on unknown names —
-/// prefer pe_for_spec when the name comes from user input.
-[[nodiscard]] DatapathDesign pe_for_strategy(const std::string& name);
-
 }  // namespace bbal::hw

@@ -2,7 +2,8 @@
 //
 // GEMMs accumulate in double: products of block-quantised values are exact
 // in double, so the fake-quant executor matches the accelerator's integer
-// datapath bit for bit at block level (tested in test_quant_executor).
+// datapath bit for bit at block level (test_simulator's
+// GemmExecutor.MatchesFakeQuantBackend compares them exactly).
 #pragma once
 
 #include <cstddef>

@@ -71,7 +71,6 @@ class NlUnitEngine {
                  const std::function<double(double)>& f);
 
   [[nodiscard]] const NlUsageStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   [[nodiscard]] const quant::BlockFormat& format() const { return fmt_; }
   [[nodiscard]] int addr_bits() const { return addr_bits_; }

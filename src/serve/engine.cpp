@@ -171,36 +171,49 @@ Result<Engine> Engine::create(
   // Speculation's second backend resolves through the same registry and
   // capability gate as the target — the draft is a full matmul pipeline
   // over the same prepared weights.
-  quant::StrategySpec draft_spec;
+  std::optional<quant::StrategySpec> draft_spec;
   if (options.draft_k > 0 && !options.draft.empty()) {
     auto parsed = quant::StrategySpec::parse(options.draft);
     if (!parsed.is_ok()) {
       problems.push_back("draft: " + parsed.message());
     } else {
-      draft_spec = parsed.value();
-      const auto caps = registry.capabilities(draft_spec);
+      const auto caps = registry.capabilities(parsed.value());
       if (!caps.is_ok()) {
         problems.push_back("draft: " + caps.message());
       } else if (!caps.value().matmul) {
-        problems.push_back("draft: " + draft_spec.to_string() +
+        problems.push_back("draft: " + parsed.value().to_string() +
                            " is not a linear-layer strategy");
       } else {
-        flag(options.accelerator.has_value() &&
-                 !registry.has_cost_model(draft_spec),
-             "draft: " + draft_spec.to_string() +
-                 " has no hardware cost model; drop the accelerator "
-                 "or choose a cost-modelled draft strategy");
+        draft_spec = parsed.value();
       }
     }
   }
 
   // Accelerator: same binding rule as Session — the engine's matmul
-  // strategy drives the cost model, which must therefore exist. An SLO is
-  // judged on simulated time, so it additionally needs that accelerator.
-  flag(options.accelerator.has_value() && !registry.has_cost_model(matmul),
-       "accelerator: " + matmul.to_string() +
-           " has no hardware cost model; drop the accelerator or "
-           "choose a cost-modelled strategy");
+  // strategy drives the cost model (accel::with_strategy). Speculation on a
+  // priced engine also prices the draft forwards, on an iso-area
+  // re-provisioning of the bound target's PE budget (Fig. 8's comparison
+  // rule), so the reported speedup is what swapping drafting work onto
+  // cheaper PEs of the same silicon actually buys. An SLO is judged on
+  // simulated time, so it additionally needs that accelerator.
+  std::optional<accel::AcceleratorConfig> draft_accel;
+  if (options.accelerator) {
+    auto bound = accel::with_strategy(std::move(*options.accelerator), matmul);
+    if (!bound.is_ok()) {
+      problems.push_back("accelerator: " + bound.message());
+    } else {
+      options.accelerator = std::move(bound).value();
+      if (draft_spec) {
+        auto priced = accel::make_iso_area_config(
+            *draft_spec, options.accelerator->pe_array_area_um2(),
+            options.accelerator->dram_gbps);
+        if (!priced.is_ok())
+          problems.push_back("draft: " + priced.message());
+        else
+          draft_accel = std::move(priced).value();
+      }
+    }
+  }
   if (options.slo) {
     flag(!options.accelerator.has_value(),
          "slo: goodput needs priced time; attach an accelerator or drop "
@@ -221,27 +234,10 @@ Result<Engine> Engine::create(
   engine.prepared_ = std::move(model);
   engine.matmul_ = matmul;
   engine.nonlinear_ = nonlinear;
-  engine.draft_ = draft_spec;
+  if (draft_spec) engine.draft_ = *draft_spec;
   engine.policy_ = std::move(policy).value();
   engine.kv_format_ = kv_format.value();
-
-  // Accelerator binding (cost-model existence validated above): the
-  // engine's matmul strategy drives the cost model, Session's rule.
-  if (options.accelerator) {
-    options.accelerator->strategy = matmul.to_string();
-    // Speculation on a priced engine also prices the draft forwards — on
-    // an iso-area re-provisioning of the target's PE budget (Fig. 8's
-    // comparison rule), so the reported speedup is what swapping drafting
-    // work onto cheaper PEs of the same silicon actually buys.
-    if (options.draft_k > 0) {
-      auto draft_accel = accel::make_iso_area_config(
-          draft_spec, options.accelerator->pe_array_area_um2(),
-          options.accelerator->dram_gbps);
-      if (!draft_accel.is_ok())
-        return R::error("draft: " + draft_accel.message());
-      engine.draft_accel_ = std::move(draft_accel).value();
-    }
-  }
+  engine.draft_accel_ = std::move(draft_accel);
   engine.options_ = std::move(options);
 
   // The weights are prepared (quantised) exactly once here, regardless of
@@ -254,7 +250,7 @@ Result<Engine> Engine::create(
   if (!target.is_ok()) return R::error(target.message());
   engine.target_ = std::move(target).value();
   if (engine.speculative()) {
-    auto drafter = Pipeline::build(*engine.prepared_, draft_spec, nonlinear);
+    auto drafter = Pipeline::build(*engine.prepared_, *draft_spec, nonlinear);
     if (!drafter.is_ok()) return R::error("draft: " + drafter.message());
     engine.drafter_ = std::move(drafter).value();
   }
@@ -641,16 +637,6 @@ struct Engine::Run {
     return true;
   }
 
-  /// Appends the GEMMs that advance a sequence by `rows` positions from
-  /// context `base`: the one workload builder behind every price this
-  /// engine reports. A decode step is the chunk-of-1 case, shape for shape.
-  void append_rows(std::vector<accel::GemmShape>& workload, int base,
-                   int rows) const {
-    const std::vector<accel::GemmShape> step =
-        accel::prefill_chunk_gemms(cfg, base, rows);
-    workload.insert(workload.end(), step.begin(), step.end());
-  }
-
   /// Prices `workload` on `accel`, charges its MACs and energy to the run,
   /// and returns its simulated seconds.
   double charge(const accel::AcceleratorConfig& accel,
@@ -950,7 +936,7 @@ struct Engine::Run {
       if (flight.tick_rows == 0) continue;
       const int base = kv.length(flight.seq);
       const auto first = static_cast<std::ptrdiff_t>(tick_workload.size());
-      append_rows(tick_workload, base, flight.tick_rows);
+      accel::prefill_chunk_gemms(cfg, base, flight.tick_rows, tick_workload);
       // A resumed flight's re-prefill is recompute work: attribute its
       // price (as if run alone on the same accelerator; simulated cost is
       // additive over GEMMs) before the rows join the fused tick.
@@ -963,7 +949,7 @@ struct Engine::Run {
       for (int i = 0; i < flight.tick_rows; ++i)
         kv_bytes += token_kv_bytes * (base + i + 2);
       for (int s = 0; s < flight.spec_k; ++s) {
-        append_rows(draft_workload, base + s, 1);
+        accel::prefill_chunk_gemms(cfg, base + s, 1, draft_workload);
         kv_bytes += token_kv_bytes * (base + s + 2);
       }
     }
@@ -1089,10 +1075,12 @@ struct Engine::Run {
         if (flight.tick_rows == 0) continue;
         if (flight.tick_base <
             static_cast<int>(requests[flight.request_index].prompt.size())) {
-          append_rows(equiv_workload, flight.tick_base, flight.tick_rows);
+          accel::prefill_chunk_gemms(cfg, flight.tick_base, flight.tick_rows,
+                                     equiv_workload);
         } else {
           for (int i = 0; i < flight.tick_emitted; ++i)
-            append_rows(equiv_workload, flight.tick_base + i, 1);
+            accel::prefill_chunk_gemms(cfg, flight.tick_base + i, 1,
+                                       equiv_workload);
         }
       }
       target_equiv_seconds +=

@@ -102,8 +102,9 @@ class Engine {
     /// weights are quantised once at construction, so raising max_batch
     /// widens the fused per-tick GEMMs without adding weight copies.
     int max_batch = 4;
-    /// Accelerator pricing each tick's workload; its strategy field is
-    /// overwritten with the engine's matmul strategy (Session's rule).
+    /// Accelerator pricing each tick's workload; create() rebinds its PE
+    /// design to the engine's matmul strategy through accel::with_strategy
+    /// (Session's rule).
     /// Without it the report carries token streams and wall-clock only.
     std::optional<accel::AcceleratorConfig> accelerator;
     /// Admission/scheduling policy: "fifo" (default), "sjf" or
@@ -236,22 +237,8 @@ class Engine {
   [[nodiscard]] const quant::StrategySpec& matmul_strategy() const {
     return matmul_;
   }
-  [[nodiscard]] const quant::StrategySpec& nonlinear_strategy() const {
-    return nonlinear_;
-  }
-  [[nodiscard]] int max_batch() const { return options_.max_batch; }
   /// Speculative decoding configured (a draft backend is attached)?
   [[nodiscard]] bool speculative() const { return options_.draft_k > 0; }
-  /// The draft backend's matmul strategy; only meaningful when
-  /// speculative().
-  [[nodiscard]] const quant::StrategySpec& draft_strategy() const {
-    return draft_;
-  }
-  [[nodiscard]] int draft_k() const { return options_.draft_k; }
-  /// The KV-cache storage format every run's pool encodes through.
-  [[nodiscard]] const quant::KvFormat& kv_format() const {
-    return kv_format_;
-  }
   /// Bytes of quantised weight storage held by the shared backend —
   /// independent of max_batch (weights are prepared exactly once).
   [[nodiscard]] std::int64_t weights_bytes() const {
@@ -260,11 +247,6 @@ class Engine {
   [[nodiscard]] bool has_accelerator() const {
     return options_.accelerator.has_value();
   }
-  [[nodiscard]] std::string_view policy() const { return policy_->name(); }
-  /// The run's fault-injection plan (empty by default).
-  [[nodiscard]] const FaultPlan& faults() const { return options_.faults; }
-  /// Decode preemption enabled (Options::preempt)?
-  [[nodiscard]] bool preempt_enabled() const { return options_.preempt; }
 
  private:
   /// One run()'s state and its tick phases (engine.cpp).
@@ -286,8 +268,8 @@ class Engine {
 
   Engine() = default;
 
-  /// The validated options; the accelerator's strategy is the engine's
-  /// matmul strategy (Session's rule).
+  /// The validated options; the accelerator's PE design is bound to the
+  /// engine's matmul strategy (Session's rule).
   Options options_;
   std::shared_ptr<const llm::PreparedModel> prepared_;
   quant::StrategySpec matmul_;

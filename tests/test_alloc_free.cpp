@@ -1,7 +1,8 @@
 // Steady-state heap allocations of the decode step's kernels: once warm,
-// block quantisation of an activation matrix and the nonlinear unit's
-// softmax and SiLU allocate nothing. The global operator new is replaced
-// by a counting one, so this test is a binary of its own.
+// block quantisation of an activation matrix, the nonlinear unit's softmax
+// and SiLU, and pricing a serving tick on the accelerator model allocate
+// nothing. The global operator new is replaced by a counting one, so this
+// test is a binary of its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,9 +12,14 @@
 #include <span>
 #include <vector>
 
+#include "accel/config.hpp"
+#include "accel/simulator.hpp"
+#include "accel/workload.hpp"
 #include "common/rng.hpp"
+#include "llm/model.hpp"
 #include "nl/engine.hpp"
 #include "quant/block.hpp"
+#include "quant/strategy.hpp"
 
 namespace {
 
@@ -96,6 +102,31 @@ TEST(AllocFree, NonlinearUnitSoftmaxAndSilu) {
   silu();
   EXPECT_EQ(allocations_during(softmax), 0u);
   EXPECT_EQ(allocations_during(silu), 0u);
+}
+
+TEST(AllocFree, PricingAWarmTickAllocatesNothing) {
+  // One decode tick of four in-flight requests, priced the way
+  // serve::Engine prices it: the shapes go into a reused list, then the
+  // whole list is simulated on the bound accelerator.
+  const llm::ModelConfig model = llm::config_by_name("Llama-7B");
+  const accel::AcceleratorConfig cfg =
+      accel::make_iso_area_config(quant::spec_of("BBFP(4,2)"), 150000.0)
+          .expect("iso-area config");
+  std::vector<accel::GemmShape> tick;
+  double seconds = 0.0;
+  const auto fill = [&] {
+    tick.clear();
+    for (int row = 0; row < 4; ++row)
+      accel::prefill_chunk_gemms(model, /*base=*/40 + row, 1, tick);
+  };
+  const auto price = [&] {
+    seconds = accel::simulate_workload(cfg, tick).seconds;
+  };
+  fill();
+  price();
+  EXPECT_EQ(allocations_during(fill), 0u);
+  EXPECT_EQ(allocations_during(price), 0u);
+  EXPECT_GT(seconds, 0.0);
 }
 
 }  // namespace

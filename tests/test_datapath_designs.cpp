@@ -98,12 +98,9 @@ TEST(PeDesigns, ExponentBypassCheaperThanAdder) {
 }
 
 TEST(PeDesigns, StrategyLookupRoundTrips) {
-  EXPECT_EQ(pe_for_strategy("Oltron").name, "Oltron");
-  EXPECT_EQ(pe_for_strategy("Olive").name, "Olive");
-  EXPECT_EQ(pe_for_strategy("BFP4").name, "BFP4");
-  EXPECT_EQ(pe_for_strategy("BBFP(6,3)").name, "BBFP(6,3)");
-  EXPECT_EQ(pe_for_strategy("INT8").name, "INT8");
-  EXPECT_EQ(pe_for_strategy("FP16").name, "FP16");
+  for (const char* name :
+       {"Oltron", "Olive", "BFP4", "BBFP(6,3)", "INT8", "FP16"})
+    EXPECT_EQ(pe_for_spec(quant::spec_of(name)).expect(name).name, name);
 }
 
 TEST(EnergyModel, MacEnergyOrderingTracksArea) {

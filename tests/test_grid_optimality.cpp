@@ -124,8 +124,7 @@ TEST(WorkloadFusion, AttentionGemmsCarryFusionFlags) {
 }
 
 TEST(WorkloadFusion, FusionRemovesDramTraffic) {
-  AcceleratorConfig cfg;
-  cfg.strategy = "BBFP(4,2)";
+  const AcceleratorConfig cfg;  // the default BBFP(4,2) PE array
   GemmShape fused{256, 64, 256, "attn_scores", true, false};
   GemmShape unfused = fused;
   unfused.output_on_chip = false;

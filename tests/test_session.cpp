@@ -105,8 +105,8 @@ TEST(Session, OneCallMatchesUnderlyingPrimitives) {
   // Cost half: identical to simulating the captured workload directly.
   const auto& workload = session.value().captured_workload();
   ASSERT_FALSE(workload.empty());
-  accel::AcceleratorConfig bound = cfg;
-  bound.strategy = "BBFP(4,2)";
+  const accel::AcceleratorConfig bound =
+      accel::with_strategy(cfg, quant::spec_of("BBFP(4,2)")).expect("bind");
   const accel::RunStats direct = accel::simulate_workload(bound, workload);
   EXPECT_DOUBLE_EQ(report.run.throughput_gops, direct.throughput_gops);
   EXPECT_DOUBLE_EQ(report.energy.total_j(), direct.energy.total_j());

@@ -308,6 +308,13 @@ TEST(Speculative, CreateRejectsInconsistentDraftOptions) {
   options.draft = "no-such-strategy";
   options.draft_k = 2;
   expect_error(options, "draft");
+  // A priced engine prices its draft forwards too: a matmul-capable draft
+  // with no PE design is a create() error, not an abort mid-run.
+  options = {};
+  options.draft = "OmniQuant";
+  options.draft_k = 2;
+  options.accelerator = accel::AcceleratorConfig{};
+  expect_error(options, "cost model");
 }
 
 }  // namespace
