@@ -84,7 +84,7 @@ namespace {
 
 /// Aggregate over a GEMM list.
 GemmStats simulate_gemms(const AcceleratorConfig& cfg,
-                         const std::vector<GemmShape>& gemms) {
+                         std::span<const GemmShape> gemms) {
   GemmStats total;
   for (const GemmShape& g : gemms) total += simulate_gemm(cfg, g);
   return total;
@@ -131,7 +131,7 @@ EnergyBreakdown energy_of(const AcceleratorConfig& cfg,
 }  // namespace
 
 RunStats simulate_workload(const AcceleratorConfig& cfg,
-                           const std::vector<GemmShape>& gemms) {
+                           std::span<const GemmShape> gemms) {
   RunStats run;
   run.gemm = simulate_gemms(cfg, gemms);
   run.seconds = run.gemm.cycles / (cfg.freq_ghz * 1e9);

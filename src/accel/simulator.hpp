@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "accel/config.hpp"
 #include "accel/workload.hpp"
@@ -65,6 +65,6 @@ struct RunStats {
 /// Simulate a GEMM workload end to end (cycles -> time -> energy; the
 /// energy uses the config's PE design and buffers).
 [[nodiscard]] RunStats simulate_workload(const AcceleratorConfig& cfg,
-                                         const std::vector<GemmShape>& gemms);
+                                         std::span<const GemmShape> gemms);
 
 }  // namespace bbal::accel

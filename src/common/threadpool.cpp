@@ -111,7 +111,7 @@ struct LoopState {
   std::atomic<std::int64_t> next;
   std::int64_t end;
   std::int64_t grain;
-  const std::function<void(std::int64_t, std::int64_t)>* body;
+  const FunctionRef<void(std::int64_t, std::int64_t)>* body;
 
   std::atomic<int> active{0};  ///< threads currently inside the chunk loop
   std::mutex mutex;
@@ -143,7 +143,7 @@ struct LoopState {
 
 void ThreadPool::parallel_for_chunks(
     std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t)>& body) {
+    FunctionRef<void(std::int64_t, std::int64_t)> body) {
   if (end <= begin) return;
   const std::int64_t n = end - begin;
   const int executors = thread_count();
@@ -186,9 +186,9 @@ void ThreadPool::parallel_for_chunks(
 }
 
 void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
-                              const std::function<void(std::int64_t)>& body) {
+                              FunctionRef<void(std::int64_t)> body) {
   parallel_for_chunks(begin, end, /*grain=*/0,
-                      [&body](std::int64_t c0, std::int64_t c1) {
+                      [body](std::int64_t c0, std::int64_t c1) {
                         for (std::int64_t i = c0; i < c1; ++i) body(i);
                       });
 }

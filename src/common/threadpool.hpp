@@ -34,9 +34,44 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace bbal::common {
+
+/// A non-owning reference to a callable: two pointers, so passing a lambda
+/// allocates nothing (a std::function copies a large capture to the heap).
+/// It must not outlive the callable; ThreadPool's loops block until their
+/// last chunk returns, so a body passed to one, a temporary included,
+/// outlives every call.
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  FunctionRef(F&& f)  // NOLINT(runtime/explicit)
+      : callable_(std::addressof(f)),
+        invoke_(&call<std::remove_reference_t<F>>) {}
+
+  R operator()(Args... args) const {
+    return invoke_(callable_, std::forward<Args>(args)...);
+  }
+
+ private:
+  template <typename F>
+  static R call(const void* callable, Args... args) {
+    return std::invoke(*static_cast<F*>(const_cast<void*>(callable)),
+                       std::forward<Args>(args)...);
+  }
+
+  const void* callable_;
+  R (*invoke_)(const void*, Args...);
+};
 
 class ThreadPool {
  public:
@@ -55,14 +90,14 @@ class ThreadPool {
   /// the first body exception. Safe to call from inside another
   /// parallel_for body (the nested loop reuses the same pool).
   void parallel_for(std::int64_t begin, std::int64_t end,
-                    const std::function<void(std::int64_t)>& body);
+                    FunctionRef<void(std::int64_t)> body);
 
   /// Chunked variant: body(c0, c1) receives half-open sub-ranges of size
   /// <= grain. Lets bodies hoist per-chunk scratch buffers out of the
   /// element loop. grain <= 0 picks end-begin over ~4 chunks per executor.
-  void parallel_for_chunks(
-      std::int64_t begin, std::int64_t end, std::int64_t grain,
-      const std::function<void(std::int64_t, std::int64_t)>& body);
+  void parallel_for_chunks(std::int64_t begin, std::int64_t end,
+                           std::int64_t grain,
+                           FunctionRef<void(std::int64_t, std::int64_t)> body);
 
   /// The process-wide pool, created on first use with env_threads().
   [[nodiscard]] static ThreadPool& global();

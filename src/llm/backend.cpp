@@ -67,10 +67,11 @@ void QuantisedMatmulBackend::matmul(const Matrix& acts, int weight_handle,
   assert(weight_handle >= 0 &&
          weight_handle < static_cast<int>(weights_.size()));
   // The quantised-activation scratch is a member, so the activation
-  // matrix is not reallocated per call, and block quantisation allocates
-  // nothing (test_alloc_free); a warm call still allocates when
-  // llm::matmul dispatches rows to the pool. Backends are single-session
-  // objects (see bbal/registry.hpp), so matmul() is never re-entered.
+  // matrix is not reallocated per call, and block quantisation and a GEMM
+  // on a one-thread pool allocate nothing (test_alloc_free); at more
+  // threads, each pooled loop still allocates its shared state and helper
+  // tasks. Backends are single-session objects (see bbal/registry.hpp), so
+  // matmul() is never re-entered.
   quantise_activations_into(acts, act_scratch_);
   llm::matmul(act_scratch_, weights_[static_cast<std::size_t>(weight_handle)],
               out);

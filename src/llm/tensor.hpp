@@ -4,6 +4,13 @@
 // in double, so the fake-quant executor matches the accelerator's integer
 // datapath bit for bit at block level (test_simulator's
 // GemmExecutor.MatchesFakeQuantBackend compares them exactly).
+//
+// Every GEMM output is one k-ordered double sum, so the result is the same
+// bits however the outputs are split. llm::matmul splits them into tiles of
+// up to 4 rows x 48 columns on the thread pool, and computes each tile on
+// one kernel instantiation picked once per process: on an x86 CPU with
+// AVX2, 4 x 12 register tiles; otherwise the row loop. detail::gemm_kernels
+// lists every instantiation the host can run, for the tests.
 #pragma once
 
 #include <cstddef>
@@ -62,9 +69,30 @@ class Matrix {
 
 /// C = A * B. A: MxK, B: KxN, C resized to MxN (reusing its storage when
 /// the shape already matches — no allocation in a steady-state loop).
-/// C must not alias A or B. Double accumulation per output row.
+/// C must not alias A or B. Double accumulation per output element; a zero
+/// activation contributes nothing, even against an Inf or NaN weight.
 void matmul(const Matrix& a, const Matrix& b, Matrix& c);
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
+
+namespace detail {
+
+/// One compiled instantiation of llm::matmul's kernel: `tile` computes
+/// c[i0, i1) x [j0, j1) of a * b, at most 4 rows by 48 columns.
+struct GemmKernel {
+  const char* name;
+  void (*tile)(const Matrix& a, const Matrix& b, Matrix& c, int i0, int i1,
+               int j0, int j1);
+};
+
+/// Every instantiation this CPU can run, checked once per process; the
+/// first is the one llm::matmul uses.
+[[nodiscard]] std::span<const GemmKernel> gemm_kernels();
+
+/// llm::matmul on the given instantiation.
+void matmul_with(const GemmKernel& kernel, const Matrix& a, const Matrix& b,
+                 Matrix& c);
+
+}  // namespace detail
 
 /// RMSNorm over each row: x <- x / rms(x) * gain.
 void rmsnorm_rows(Matrix& x, std::span<const float> gain, float eps = 1e-5f);

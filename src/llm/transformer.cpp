@@ -60,7 +60,7 @@ void Transformer::attention(Matrix& x, int layer) {
   // The head loop itself stays serial: backend calls must arrive in a fixed
   // order because decorators (Session's workload capture, traffic counters)
   // record them, and the captured sequence feeds the accelerator replay.
-  // Parallelism lives *inside* each matmul (tiled over output rows), which
+  // Parallelism lives *inside* each matmul (tiled over outputs), which
   // preserves the call order while using every thread.
   Matrix qh(t, dh), kh_t(dh, t), vh(t, dh);
   for (int head = 0; head < heads; ++head) {

@@ -935,16 +935,15 @@ struct Engine::Run {
     for (const InFlight& flight : active) {
       if (flight.tick_rows == 0) continue;
       const int base = kv.length(flight.seq);
-      const auto first = static_cast<std::ptrdiff_t>(tick_workload.size());
+      const std::size_t first = tick_workload.size();
       accel::prefill_chunk_gemms(cfg, base, flight.tick_rows, tick_workload);
       // A resumed flight's re-prefill is recompute work: attribute its
       // price (as if run alone on the same accelerator; simulated cost is
       // additive over GEMMs) before the rows join the fused tick.
       if (flight.resuming)
         report.preempt_recompute_seconds +=
-            accel::simulate_workload(
-                *opt.accelerator,
-                {tick_workload.begin() + first, tick_workload.end()})
+            accel::simulate_workload(*opt.accelerator,
+                                     std::span(tick_workload).subspan(first))
                 .seconds;
       for (int i = 0; i < flight.tick_rows; ++i)
         kv_bytes += token_kv_bytes * (base + i + 2);

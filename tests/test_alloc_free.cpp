@@ -1,10 +1,11 @@
 // Steady-state heap allocations of the decode step's kernels: once warm,
-// block quantisation of an activation matrix, the nonlinear unit's softmax
-// and SiLU, and pricing a serving tick on the accelerator model allocate
-// nothing. The global operator new is replaced by a counting one, so this
-// test is a binary of its own.
+// block quantisation of an activation matrix, a pooled GEMM, the nonlinear
+// unit's softmax and SiLU, and pricing a serving tick on the accelerator
+// model allocate nothing. The global operator new is replaced by a counting
+// one, so this test is a binary of its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -16,7 +17,9 @@
 #include "accel/simulator.hpp"
 #include "accel/workload.hpp"
 #include "common/rng.hpp"
+#include "common/threadpool.hpp"
 #include "llm/model.hpp"
+#include "llm/tensor.hpp"
 #include "nl/engine.hpp"
 #include "quant/block.hpp"
 #include "quant/strategy.hpp"
@@ -83,6 +86,22 @@ TEST(AllocFree, BlockQuantiseOfFourActivationRows) {
   }
 }
 
+TEST(AllocFree, WarmPooledMatmulAllocatesNothing) {
+  // 4 x 128 x 344 MACs is above llm::matmul's inline cutoff, so the GEMM
+  // goes through the pool, which takes its tile body by reference and, at
+  // one thread, runs it on the caller.
+  common::ThreadPool::set_global_threads(1);
+  llm::Matrix a(4, 128), b(128, 344), c;
+  const std::vector<float> acts = gaussian_row(a.size(), 4, 1.0);
+  const std::vector<float> weights = gaussian_row(b.size(), 5, 0.1);
+  std::copy(acts.begin(), acts.end(), a.flat().begin());
+  std::copy(weights.begin(), weights.end(), b.flat().begin());
+  const auto gemm = [&] { llm::matmul(a, b, c); };
+  gemm();
+  EXPECT_EQ(allocations_during(gemm), 0u);
+  common::ThreadPool::set_global_threads(common::ThreadPool::env_threads());
+}
+
 TEST(AllocFree, NonlinearUnitSoftmaxAndSilu) {
   nl::NlUnitEngine engine(quant::BlockFormat::bbfp(10, 5));
   // Softmax at decode_long's longest context, SiLU at its FFN width.
@@ -113,20 +132,33 @@ TEST(AllocFree, PricingAWarmTickAllocatesNothing) {
       accel::make_iso_area_config(quant::spec_of("BBFP(4,2)"), 150000.0)
           .expect("iso-area config");
   std::vector<accel::GemmShape> tick;
+  std::size_t last_flight = 0;
   double seconds = 0.0;
+  double flight_seconds = 0.0;
   const auto fill = [&] {
     tick.clear();
-    for (int row = 0; row < 4; ++row)
+    for (int row = 0; row < 4; ++row) {
+      last_flight = tick.size();
       accel::prefill_chunk_gemms(model, /*base=*/40 + row, 1, tick);
+    }
   };
   const auto price = [&] {
     seconds = accel::simulate_workload(cfg, tick).seconds;
   };
+  // A resumed flight's recompute is priced on its slice of the tick.
+  const auto price_flight = [&] {
+    flight_seconds =
+        accel::simulate_workload(cfg, std::span(tick).subspan(last_flight))
+            .seconds;
+  };
   fill();
   price();
+  price_flight();
   EXPECT_EQ(allocations_during(fill), 0u);
   EXPECT_EQ(allocations_during(price), 0u);
-  EXPECT_GT(seconds, 0.0);
+  EXPECT_EQ(allocations_during(price_flight), 0u);
+  EXPECT_GT(flight_seconds, 0.0);
+  EXPECT_LT(flight_seconds, seconds);
 }
 
 }  // namespace
