@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/threadpool.hpp"
@@ -10,25 +9,6 @@
 #include "quant/dot.hpp"
 
 namespace bbal::accel {
-
-namespace {
-
-// Same inline cutoff as llm::matmul (tensor.cpp): below this many MACs the
-// per-loop dispatch costs more than the distributed row work.
-constexpr std::int64_t kParallelMinMacs = 1 << 15;
-
-/// Run `body` over [0, n) — chunked across the pool when the GEMM is big
-/// enough, inline otherwise.
-void for_range(std::int64_t n, std::int64_t total_macs,
-               const std::function<void(std::int64_t, std::int64_t)>& body) {
-  if (total_macs < kParallelMinMacs) {
-    body(0, n);
-    return;
-  }
-  common::ThreadPool::global().parallel_for_chunks(0, n, /*grain=*/0, body);
-}
-
-}  // namespace
 
 llm::Matrix execute_gemm_bit_exact(const llm::Matrix& acts,
                                    const llm::Matrix& weights,
@@ -47,7 +27,7 @@ llm::Matrix execute_gemm_bit_exact(const llm::Matrix& acts,
   // Column blocks are disjoint, so columns tile across the pool.
   std::vector<quant::EncodedBlock> wblocks(
       static_cast<std::size_t>(n) * static_cast<std::size_t>(blocks));
-  for_range(
+  common::parallel_chunks(
       n, macs, [&](std::int64_t j0, std::int64_t j1) {
         std::vector<double> buf(static_cast<std::size_t>(bs));
         for (std::int64_t j64 = j0; j64 < j1; ++j64) {
@@ -70,7 +50,7 @@ llm::Matrix execute_gemm_bit_exact(const llm::Matrix& acts,
   // activation blocks then accumulates integer block dots per column —
   // byte-for-byte the serial datapath, whatever the thread count.
   llm::Matrix out(m, n);
-  for_range(
+  common::parallel_chunks(
       m, macs, [&](std::int64_t i0, std::int64_t i1) {
         std::vector<quant::EncodedBlock> arow(static_cast<std::size_t>(blocks));
         std::vector<double> buf(static_cast<std::size_t>(bs));

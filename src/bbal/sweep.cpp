@@ -37,7 +37,7 @@ class PreparedCache {
       throw std::runtime_error(slot.error);
     slot.state = Slot::State::kPreparing;
     lk.unlock();
-    // Preparation itself runs parallel GEMMs; the nested parallel_for is
+    // Preparation itself runs parallel GEMMs; the nested pool loop is
     // safe (the preparing thread always makes progress on its own). Any
     // failure must flip the slot out of kPreparing, or every waiter above
     // would sleep forever.

@@ -1,20 +1,22 @@
-// Work-stealing thread pool + parallel_for, the execution engine behind the
-// quantised matmul hot path and bbal::SweepRunner.
+// Fork-join thread pool, the execution engine behind the quantised matmul
+// hot path and bbal::SweepRunner. Its only unit of work is an open loop:
+// parallel_for_chunks keeps the loop in its own stack frame, idle workers
+// join it, and the caller waits for them before it returns.
 //
 // Design rules, in order of importance:
 //
-//  1. Determinism. parallel_for partitions an index range into chunks and
-//     runs each chunk exactly once; bodies write disjoint outputs, so the
-//     numeric result is bit-identical at any thread count (enforced by the
-//     BENCH_table2.json regression gate in CI).
-//  2. No deadlocks under nesting. The calling thread always participates in
-//     its own loop: helper tasks pushed to the pool are an *optimisation*,
-//     and a parallel_for completes even if no worker ever picks one up. A
-//     worker blocked at the end of a nested loop only waits on chunks that
-//     other threads are already executing.
+//  1. Determinism. parallel_for_chunks partitions an index range into
+//     chunks and runs each chunk exactly once; bodies write disjoint
+//     outputs, so the numeric result is bit-identical at any thread count
+//     (enforced by the BENCH_table2.json regression gate in CI).
+//  2. No deadlocks under nesting. The calling thread always runs chunks of
+//     its own loop, so a loop completes even if no worker ever joins it. A
+//     caller waits only on workers that are running chunks of its own loop.
 //  3. Exceptions propagate. The first exception thrown by a body is
 //     captured, remaining chunks are cancelled, and the exception is
 //     rethrown on the calling thread.
+//  4. Nothing allocates. A loop lives in its caller's frame and takes its
+//     body by FunctionRef, so opening one touches no heap.
 //
 // Thread-count policy: ThreadPool(n) means n executors — the caller plus
 // n-1 pooled workers — so ThreadPool(1) spawns no threads and runs every
@@ -26,10 +28,8 @@
 // pool would be orphaned).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -41,9 +41,9 @@
 namespace bbal::common {
 
 /// A non-owning reference to a callable: two pointers, so passing a lambda
-/// allocates nothing (a std::function copies a large capture to the heap).
-/// It must not outlive the callable; ThreadPool's loops block until their
-/// last chunk returns, so a body passed to one, a temporary included,
+/// allocates nothing (an owning wrapper copies a large capture to the
+/// heap). It must not outlive the callable; ThreadPool's loops block until
+/// their last chunk returns, so a body passed to one, a temporary included,
 /// outlives every call.
 template <typename Signature>
 class FunctionRef;
@@ -81,20 +81,16 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Executors available to a parallel_for (including the caller).
+  /// Executors available to a loop (including the caller).
   [[nodiscard]] int thread_count() const {
     return static_cast<int>(workers_.size()) + 1;
   }
 
-  /// Run body(i) for every i in [begin, end). Blocks until done; rethrows
-  /// the first body exception. Safe to call from inside another
-  /// parallel_for body (the nested loop reuses the same pool).
-  void parallel_for(std::int64_t begin, std::int64_t end,
-                    FunctionRef<void(std::int64_t)> body);
-
-  /// Chunked variant: body(c0, c1) receives half-open sub-ranges of size
-  /// <= grain. Lets bodies hoist per-chunk scratch buffers out of the
+  /// Run body(c0, c1) over half-open sub-ranges of [begin, end) of size
+  /// <= grain, so bodies can hoist per-chunk scratch buffers out of the
   /// element loop. grain <= 0 picks end-begin over ~4 chunks per executor.
+  /// Blocks until done; rethrows the first body exception. Safe to call
+  /// from inside another loop's body (the nested loop reuses the pool).
   void parallel_for_chunks(std::int64_t begin, std::int64_t end,
                            std::int64_t grain,
                            FunctionRef<void(std::int64_t, std::int64_t)> body);
@@ -108,30 +104,32 @@ class ThreadPool {
   [[nodiscard]] static int env_threads();
 
  private:
-  // One mutex-guarded deque per worker. Owners pop from the back (LIFO,
-  // cache-warm); thieves and the external enqueue use the front (FIFO) —
-  // the classic Chase-Lev asymmetry without the lock-free machinery, which
-  // the helper-task granularity here does not need.
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  struct Loop;  ///< one open parallel_for_chunks call, in its caller's frame
 
-  /// Push a helper task into the first *empty* worker queue (round-robin
-  /// start). Returns false — dropping the task — when every queue already
-  /// holds work: helpers are pure optimisations (the caller drains its own
-  /// loop regardless), and the one-per-queue bound keeps saturated sweeps
-  /// from piling up closures no idle worker exists to run.
-  bool try_enqueue_helper(std::function<void()> task);
-  void worker_main(std::size_t self);
-  [[nodiscard]] bool try_pop(std::size_t self, std::function<void()>& task);
+  void run_chunks(Loop& loop);
+  void worker_main();
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
+  // mutex_ guards open_ (the newest open loop; older ones via
+  // Loop::older), stop_ and each open loop's bookkeeping. wake_ is
+  // notified when a loop opens or stop_ is set.
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  Loop* open_ = nullptr;
   bool stop_ = false;
-  std::atomic<std::size_t> next_queue_{0};  ///< round-robin enqueue cursor
+  std::vector<std::thread> workers_;
 };
+
+/// Run body(c0, c1) over [0, n): in chunks on the global pool, or as one
+/// body(0, n) call on the caller when `work` (MACs or elements) is under
+/// 1 << 15, where opening a loop costs more than the work it spreads. A
+/// template, so a small loop keeps a direct, inlinable call.
+template <class Body>
+void parallel_chunks(std::int64_t n, std::int64_t work, Body&& body) {
+  if (work < (std::int64_t{1} << 15)) {
+    body(std::int64_t{0}, n);
+  } else {
+    ThreadPool::global().parallel_for_chunks(0, n, /*grain=*/0, body);
+  }
+}
 
 }  // namespace bbal::common

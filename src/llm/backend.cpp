@@ -8,31 +8,14 @@
 
 namespace bbal::llm {
 
-namespace {
-
-// Same inline cutoff as llm::matmul (tensor.cpp): tiny quantisation jobs
-// (decoder single rows, per-head slices) skip the pool dispatch.
-constexpr std::int64_t kParallelMinElements = 1 << 15;
-
-/// Run `chunk(begin, end)` over [0, n): inline for small matrices, on the
-/// pool otherwise. Chunks are independent vectors, so the split never
-/// changes a bit of the result.
-template <typename Fn>
-void for_each_vector(const Matrix& m, int n, Fn&& chunk) {
-  if (static_cast<std::int64_t>(m.size()) < kParallelMinElements) {
-    chunk(0, n);
-  } else {
-    common::ThreadPool::global().parallel_for_chunks(0, n, /*grain=*/0, chunk);
-  }
-}
-
-}  // namespace
-
 // --- QuantisedMatmulBackend -------------------------------------------------
+
+// Both quantisers split over independent vectors (weight columns,
+// activation rows), so the split never changes a bit of the result.
 
 Matrix QuantisedMatmulBackend::quantise_weights(const Matrix& w) const {
   Matrix q(w.rows(), w.cols());
-  for_each_vector(w, w.cols(), [&](std::int64_t j0, std::int64_t j1) {
+  const auto columns = [&](std::int64_t j0, std::int64_t j1) {
     std::vector<float> col(static_cast<std::size_t>(w.rows()));
     std::vector<float> qcol(col.size());
     for (int j = static_cast<int>(j0); j < j1; ++j) {
@@ -42,17 +25,21 @@ Matrix QuantisedMatmulBackend::quantise_weights(const Matrix& w) const {
       for (int k = 0; k < w.rows(); ++k)
         q.at(k, j) = qcol[static_cast<std::size_t>(k)];
     }
-  });
+  };
+  common::parallel_chunks(w.cols(), static_cast<std::int64_t>(w.size()),
+                          columns);
   return q;
 }
 
 void QuantisedMatmulBackend::quantise_activations_into(const Matrix& acts,
                                                        Matrix& q) const {
   q.resize(acts.rows(), acts.cols());
-  for_each_vector(acts, acts.rows(), [&](std::int64_t r0, std::int64_t r1) {
+  const auto rows = [&](std::int64_t r0, std::int64_t r1) {
     for (int r = static_cast<int>(r0); r < r1; ++r)
       quantise_activation_row(acts.row(r), q.row(r));
-  });
+  };
+  common::parallel_chunks(acts.rows(), static_cast<std::int64_t>(acts.size()),
+                          rows);
 }
 
 int QuantisedMatmulBackend::prepare_weights(const Matrix& w,
@@ -67,10 +54,9 @@ void QuantisedMatmulBackend::matmul(const Matrix& acts, int weight_handle,
   assert(weight_handle >= 0 &&
          weight_handle < static_cast<int>(weights_.size()));
   // The quantised-activation scratch is a member, so the activation
-  // matrix is not reallocated per call, and block quantisation and a GEMM
-  // on a one-thread pool allocate nothing (test_alloc_free); at more
-  // threads, each pooled loop still allocates its shared state and helper
-  // tasks. Backends are single-session objects (see bbal/registry.hpp), so
+  // matrix is not reallocated per call, and block quantisation and a
+  // pooled GEMM allocate nothing at any thread count (test_alloc_free).
+  // Backends are single-session objects (see bbal/registry.hpp), so
   // matmul() is never re-entered.
   quantise_activations_into(acts, act_scratch_);
   llm::matmul(act_scratch_, weights_[static_cast<std::size_t>(weight_handle)],

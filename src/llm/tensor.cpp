@@ -12,10 +12,6 @@ namespace bbal::llm {
 
 namespace {
 
-// Below this many MACs a GEMM runs inline: the per-loop setup (shared
-// state + helper enqueue) would cost more than the tile work it distributes.
-constexpr std::int64_t kParallelMinMacs = 1 << 15;
-
 // The unit of work: up to kTileRows output rows by kPanelCols output
 // columns, a multiple of the 12-column register tile. Columns are as
 // independent as rows, so a GEMM with fewer rows than threads still splits.
@@ -211,13 +207,8 @@ void matmul_with(const GemmKernel& kernel, const Matrix& a, const Matrix& b,
                   std::min(j0 + kPanelCols, n));
     }
   };
-  const std::int64_t count = static_cast<std::int64_t>(groups) * panels;
-  if (static_cast<std::int64_t>(m) * k * n < kParallelMinMacs) {
-    tiles(0, count);
-  } else {
-    common::ThreadPool::global().parallel_for_chunks(0, count, /*grain=*/0,
-                                                     tiles);
-  }
+  common::parallel_chunks(static_cast<std::int64_t>(groups) * panels,
+                          static_cast<std::int64_t>(m) * k * n, tiles);
 }
 
 }  // namespace detail
@@ -242,13 +233,11 @@ void rmsnorm_row(std::span<float> x, std::span<const float> gain, float eps) {
 }
 
 void rmsnorm_rows(Matrix& x, std::span<const float> gain, float eps) {
-  if (static_cast<std::int64_t>(x.size()) < kParallelMinMacs) {
-    for (int r = 0; r < x.rows(); ++r) rmsnorm_row(x.row(r), gain, eps);
-    return;
-  }
-  common::ThreadPool::global().parallel_for(0, x.rows(), [&](std::int64_t r) {
-    rmsnorm_row(x.row(static_cast<int>(r)), gain, eps);
-  });
+  const auto rows = [&](std::int64_t r0, std::int64_t r1) {
+    for (int r = static_cast<int>(r0); r < r1; ++r)
+      rmsnorm_row(x.row(r), gain, eps);
+  };
+  common::parallel_chunks(x.rows(), static_cast<std::int64_t>(x.size()), rows);
 }
 
 void softmax_reference(std::span<float> xs) {
