@@ -17,12 +17,6 @@ KVCache Decoder::make_cache() const {
 
 std::vector<float> Decoder::step(int token) { return step(token, cache_); }
 
-std::vector<float> Decoder::step(int token, KVCache& cache) {
-  assert(cache.k.size() == static_cast<std::size_t>(model_.config().n_layers));
-  KVCacheRef view(cache);
-  return step(token, view);
-}
-
 std::vector<float> Decoder::step(int token, KVCacheView& view) {
   // A batch of one: the single-request path shares the fused datapath
   // (and its persistent workspace), so it too stops allocating per token

@@ -8,9 +8,9 @@
 // value type below (decoder-owned for step(token), caller-owned for
 // step(token, cache)) or the serving engine's block-paged pool
 // (serve::PagedKVPool), whose pages are shared across requests with a
-// common prompt prefix. The step reads identical floats in identical order
-// through either view, so the two layouts are bit-identical by
-// construction (tested in test_paged_kv).
+// common prompt prefix. With FP32 pages the step reads identical floats in
+// identical order through either view, so the two layouts are
+// bit-identical by construction (tested in test_paged_kv).
 #pragma once
 
 #include <cassert>
@@ -20,29 +20,6 @@
 #include "llm/transformer.hpp"
 
 namespace bbal::llm {
-
-/// Per-sequence attention state: cached keys/values per layer, rows =
-/// positions seen so far. Cheap to move; independent of any Decoder.
-struct KVCache {
-  KVCache() = default;
-  explicit KVCache(int n_layers)
-      : k(static_cast<std::size_t>(n_layers)),
-        v(static_cast<std::size_t>(n_layers)) {}
-
-  /// Positions cached so far (the context length of the sequence).
-  [[nodiscard]] int length() const {
-    return k.empty() ? 0 : static_cast<int>(k.front().size());
-  }
-  /// Drop all cached positions but keep the per-layer structure.
-  void clear() {
-    for (auto& layer : k) layer.clear();
-    for (auto& layer : v) layer.clear();
-  }
-
-  // Per layer: cached keys/values, rows = positions seen so far.
-  std::vector<std::vector<std::vector<float>>> k;
-  std::vector<std::vector<std::vector<float>>> v;
-};
 
 /// Storage-agnostic access to one sequence's attention state. One decode
 /// step advances a sequence by n >= 1 new positions (n == 1 for decode,
@@ -63,7 +40,7 @@ struct KVCache {
 ///      appends land.
 ///
 /// An implementation whose length() is derived from storage (e.g. the
-/// contiguous KVCacheRef below) may therefore report a transiently
+/// contiguous KVCache below) may therefore report a transiently
 /// inconsistent length mid-step; the decoder never observes it.
 class KVCacheView {
  public:
@@ -82,37 +59,45 @@ class KVCacheView {
                                                     int pos) const = 0;
 };
 
-/// KVCacheView over a contiguous KVCache: the adapter the value-type APIs
-/// (step(token) / step(token, cache)) run through.
-class KVCacheRef final : public KVCacheView {
- public:
-  explicit KVCacheRef(KVCache& cache) : cache_(cache) {}
+/// Per-sequence attention state in contiguous storage: cached keys/values
+/// per layer, rows = positions seen so far. Cheap to move; independent of
+/// any Decoder, which reads and writes it as a KVCacheView.
+struct KVCache final : KVCacheView {
+  KVCache() = default;
+  explicit KVCache(int n_layers)
+      : k(static_cast<std::size_t>(n_layers)),
+        v(static_cast<std::size_t>(n_layers)) {}
 
-  [[nodiscard]] int length() const override { return cache_.length(); }
+  /// Positions cached so far (the context length of the sequence).
+  [[nodiscard]] int length() const override {
+    return k.empty() ? 0 : static_cast<int>(k.front().size());
+  }
+  /// Drop all cached positions but keep the per-layer structure.
+  void clear() {
+    for (auto& layer : k) layer.clear();
+    for (auto& layer : v) layer.clear();
+  }
+
   void append(int layer, int pos, std::span<const float> k_row,
               std::span<const float> v_row) override {
     // Contiguous storage appends in position order by construction.
-    assert(pos ==
-           static_cast<int>(cache_.k[static_cast<std::size_t>(layer)].size()));
+    assert(pos == static_cast<int>(k[static_cast<std::size_t>(layer)].size()));
     (void)pos;
-    cache_.k[static_cast<std::size_t>(layer)].emplace_back(k_row.begin(),
-                                                           k_row.end());
-    cache_.v[static_cast<std::size_t>(layer)].emplace_back(v_row.begin(),
-                                                           v_row.end());
+    k[static_cast<std::size_t>(layer)].emplace_back(k_row.begin(), k_row.end());
+    v[static_cast<std::size_t>(layer)].emplace_back(v_row.begin(), v_row.end());
   }
   [[nodiscard]] std::span<const float> k_at(int layer,
                                             int pos) const override {
-    return cache_.k[static_cast<std::size_t>(layer)]
-                  [static_cast<std::size_t>(pos)];
+    return k[static_cast<std::size_t>(layer)][static_cast<std::size_t>(pos)];
   }
   [[nodiscard]] std::span<const float> v_at(int layer,
                                             int pos) const override {
-    return cache_.v[static_cast<std::size_t>(layer)]
-                  [static_cast<std::size_t>(pos)];
+    return v[static_cast<std::size_t>(layer)][static_cast<std::size_t>(pos)];
   }
 
- private:
-  KVCache& cache_;
+  // Per layer: cached keys/values, rows = positions seen so far.
+  std::vector<std::vector<std::vector<float>>> k;
+  std::vector<std::vector<std::vector<float>>> v;
 };
 
 class Decoder {
@@ -127,17 +112,11 @@ class Decoder {
   /// the next-token distribution.
   [[nodiscard]] std::vector<float> step(int token);
 
-  /// Feed one token into a caller-owned cache (serving engine path). The
-  /// cache must come from make_cache() (or a moved-from equivalent) of a
-  /// model with the same layer count. Bit-identical to the owned-cache
-  /// step at the same context.
-  [[nodiscard]] std::vector<float> step(int token, KVCache& cache);
-
-  /// Feed one token through an arbitrary cache view (paged serving path).
-  /// The view must hold state of a model with this decoder's layer count
-  /// and d_model, and must have capacity for one more position. All the
-  /// step() overloads run this arithmetic and are bit-identical at the
-  /// same context.
+  /// Feed one token through a caller-owned cache view: a KVCache from
+  /// make_cache() or a serving pool's view. The view must hold state of a
+  /// model with this decoder's layer count and d_model, and must have
+  /// capacity for one more position. Both step() overloads run this
+  /// arithmetic and are bit-identical at the same context.
   [[nodiscard]] std::vector<float> step(int token, KVCacheView& view);
 
   /// Fused batched step: advance tokens.size() independent sequences by
@@ -155,13 +134,12 @@ class Decoder {
   /// tokens and views must be the same non-zero size, views non-null and
   /// distinct. logits_out is resized to (batch x vocab) reusing its
   /// storage, and the decoder's per-layer workspace persists across
-  /// calls. Activation quantisation and the nonlinear unit allocate
-  /// nothing once warm, but the step still allocates in llm::matmul's
-  /// pool dispatch and for KV page decode buffers (perfbench's traced
-  /// decode_long counts 54.5 host.allocs_per_token, engine pricing
-  /// included; 382.5 before). Rows follow the caller's order, so retiring or
-  /// back-filling sequences between calls just changes which views are
-  /// passed.
+  /// calls. Once warm to the batch size and context, a step over pool
+  /// views whose pages are reserved allocates nothing
+  /// (AllocFree.WarmPagedStepAllocatesNothing); a contiguous KVCache
+  /// allocates its appended rows. Rows follow the caller's order, so
+  /// retiring or back-filling sequences between calls just changes which
+  /// views are passed.
   void step_batch(std::span<const int> tokens,
                   std::span<KVCacheView* const> views, Matrix& logits_out);
 

@@ -143,6 +143,22 @@ Matrix Transformer::forward(std::span<const int> tokens) {
   return logits;
 }
 
+double capped_nll(std::span<const float> logits, int next) {
+  // log-softmax at the realised next token.
+  float mx = logits[0];
+  for (const float v : logits) mx = std::max(mx, v);
+  double sum = 0.0;
+  for (const float v : logits) sum += std::exp(static_cast<double>(v) - mx);
+  const double logp =
+      static_cast<double>(logits[static_cast<std::size_t>(next)]) - mx -
+      std::log(sum);
+  // Per-token surprise is clipped at uniform + 2 nats so catastrophic
+  // quantisers produce large-but-finite perplexities (the same scale as
+  // the paper's worst Olive rows) instead of numerically unbounded ones.
+  const double cap = std::log(static_cast<double>(logits.size())) + 2.0;
+  return std::min(-logp, cap);
+}
+
 double Transformer::mean_nll(std::span<const int> tokens) {
   assert(tokens.size() >= 2);
   const Matrix logits = forward(tokens);
@@ -153,25 +169,10 @@ double Transformer::mean_nll(std::span<const int> tokens) {
   std::vector<double> position_nll(static_cast<std::size_t>(t - 1));
   common::ThreadPool::global().parallel_for_chunks(
       0, t - 1, /*grain=*/0, [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const std::span<const float> row = logits.row(static_cast<int>(i));
-          // log-softmax at the realised next token.
-          float mx = row[0];
-          for (const float v : row) mx = std::max(mx, v);
-          double sum = 0.0;
-          for (const float v : row)
-            sum += std::exp(static_cast<double>(v) - mx);
-          const int next = tokens[static_cast<std::size_t>(i) + 1];
-          const double logp =
-              static_cast<double>(row[static_cast<std::size_t>(next)]) - mx -
-              std::log(sum);
-          // Per-token surprise is clipped at uniform + 2 nats so
-          // catastrophic quantisers produce large-but-finite perplexities
-          // (the same scale as the paper's worst Olive rows) instead of
-          // numerically unbounded ones.
-          const double cap = std::log(static_cast<double>(config_.vocab)) + 2.0;
-          position_nll[static_cast<std::size_t>(i)] = std::min(-logp, cap);
-        }
+        for (std::int64_t i = i0; i < i1; ++i)
+          position_nll[static_cast<std::size_t>(i)] =
+              capped_nll(logits.row(static_cast<int>(i)),
+                         tokens[static_cast<std::size_t>(i) + 1]);
       });
   double nll = 0.0;
   for (const double v : position_nll) nll += v;

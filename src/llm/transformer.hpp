@@ -26,6 +26,12 @@
 
 namespace bbal::llm {
 
+/// Surprise of token `next` under `logits` (one row of vocab logits):
+/// -log softmax(logits)[next], clipped at log(vocab) + 2 nats. The
+/// per-position term of Transformer::mean_nll, for KV-cached evaluations
+/// that must score exactly like it.
+[[nodiscard]] double capped_nll(std::span<const float> logits, int next);
+
 class Transformer {
  public:
   /// Backends and weights are borrowed; they must outlive the Transformer.

@@ -53,6 +53,22 @@ class BitReader {
 constexpr int kInt8GroupSize = 32;  ///< matches the block families' grain
 constexpr float kInt8Max = 127.0f;
 
+/// An INT8 group's scale: max|x| / 127, 0 for an all-zero group.
+float int8_scale(std::span<const float> group) {
+  float max_abs = 0.0f;
+  for (const float v : group) max_abs = std::max(max_abs, std::fabs(v));
+  return max_abs > 0.0f ? max_abs / kInt8Max : 0.0f;
+}
+
+/// The INT8 code of `x` at `scale`: round-to-nearest in double, clamped to
+/// +-127. The code decodes to static_cast<float>(code) * scale.
+std::int8_t int8_code(float x, float scale) {
+  double q = 0.0;
+  if (scale > 0.0f)
+    q = std::round(static_cast<double>(x) / static_cast<double>(scale));
+  return static_cast<std::int8_t>(std::clamp(q, -127.0, 127.0));
+}
+
 }  // namespace
 
 // --- KvFormat ----------------------------------------------------------------
@@ -149,30 +165,17 @@ void KvPageCodec::encode_row(std::span<const float> row,
     const std::size_t gb = group_bytes(n);
     std::span<std::uint8_t> dst = out.subspan(off, gb);
     std::fill(dst.begin(), dst.end(), std::uint8_t{0});
+    const std::span<const float> group = row.subspan(
+        static_cast<std::size_t>(start), static_cast<std::size_t>(n));
     if (format_.kind == KvFormat::Kind::kInt8) {
-      float max_abs = 0.0f;
-      for (int i = 0; i < n; ++i) {
-        const float v = row[static_cast<std::size_t>(start + i)];
-        max_abs = std::max(max_abs, std::fabs(v));
-      }
-      const float scale = max_abs > 0.0f ? max_abs / kInt8Max : 0.0f;
+      const float scale = int8_scale(group);
       std::memcpy(dst.data(), &scale, sizeof(float));
-      for (int i = 0; i < n; ++i) {
-        double q = 0.0;
-        if (scale > 0.0f)
-          q = std::round(
-              static_cast<double>(row[static_cast<std::size_t>(start + i)]) /
-              static_cast<double>(scale));
-        q = std::clamp(q, -127.0, 127.0);
-        dst[sizeof(float) + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(static_cast<std::int8_t>(q));
-      }
+      for (std::size_t i = 0; i < group.size(); ++i)
+        dst[sizeof(float) + i] =
+            static_cast<std::uint8_t>(int8_code(group[i], scale));
     } else {
       // encode_block's encoding, element by element: an all-zero group
       // stores kZeroBlockExponent and default elements.
-      const std::span<const float> group =
-          row.subspan(static_cast<std::size_t>(start),
-                      static_cast<std::size_t>(n));
       const std::optional<int> shared = shared_exponent(group, format_.block);
       const auto es =
           static_cast<std::int16_t>(shared.value_or(kZeroBlockExponent));
@@ -229,6 +232,30 @@ void KvPageCodec::decode_row(std::span<const std::uint8_t> in,
       }
     }
     off += gb;
+  }
+}
+
+void KvPageCodec::quantise_row(std::span<const float> row,
+                               std::span<float> out) const {
+  assert(static_cast<int>(row.size()) == row_elems_);
+  assert(out.size() == row.size());
+  switch (format_.kind) {
+    case KvFormat::Kind::kFp32:
+      if (out.data() != row.data())
+        std::copy(row.begin(), row.end(), out.begin());
+      return;
+    case KvFormat::Kind::kBlock:
+      quantise(row, format_.block, out);
+      return;
+    case KvFormat::Kind::kInt8:
+      for (std::size_t start = 0; start < row.size(); start += kInt8GroupSize) {
+        const std::size_t n =
+            std::min<std::size_t>(kInt8GroupSize, row.size() - start);
+        const float scale = int8_scale(row.subspan(start, n));
+        for (std::size_t i = start; i < start + n; ++i)
+          out[i] = static_cast<float>(int8_code(row[i], scale)) * scale;
+      }
+      return;
   }
 }
 

@@ -5,7 +5,9 @@
 // cache in FP32; PR 4/6 showed kv_bytes_peak — not weights — is what caps
 // serving concurrency. The codec applies the repo's existing block
 // machinery (quant::encode_block, the same numerics every matmul backend
-// uses) to KV rows, so a pool page stores packed bytes instead of floats:
+// uses) to KV rows and defines the packed bytes a pool page is priced at.
+// The pool itself stores each row as quantise_row's floats — the packed
+// row decoded — as the matmul backends hold fake-quantised weights:
 //
 //   FP32        raw little-endian floats (the identity codec; byte-exact
 //               round trip, keeps quantised-KV serving opt-in)
@@ -17,13 +19,14 @@
 //
 // A "group" is BlockFormat::block_size consecutive elements of one K or V
 // row (32, the paper's choice; the last group of a row may be short).
-// Rows never share groups, so every row encodes and decodes independently
-// — which is what lets copy-on-write and prefix sharing operate on opaque
-// bytes, and keeps decode deterministic regardless of batch composition.
+// Rows never share groups, so every row encodes and decodes independently:
+// a stored row is a function of that row alone, whatever the batch
+// composition, and sharing or copying it never re-runs the codec.
 //
 // Numerics contract: decode(encode(row)) for the block formats equals
 // quant::quantise(row, fmt) element for element — the codec adds a byte
-// layout, never a second rounding rule.
+// layout, never a second rounding rule — and quantise_row equals
+// decode(encode(row)) in every format.
 #pragma once
 
 #include <cstdint>
@@ -97,6 +100,11 @@ class KvPageCodec {
   /// input bytes exactly; block formats reproduce quant::quantise.
   void decode_row(std::span<const std::uint8_t> in,
                   std::span<float> out) const;
+  /// decode_row(encode_row(row)) without the bytes, bit for bit: what a
+  /// pool page stores. FP32 copies, block formats run quant::quantise and
+  /// INT8 takes encode_row's scale and code steps. Allocates nothing;
+  /// `out` may alias `row`.
+  void quantise_row(std::span<const float> row, std::span<float> out) const;
 
  private:
   /// Elements per shared-exponent group (last group of a row may be short).

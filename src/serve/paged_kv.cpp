@@ -17,13 +17,6 @@ PagedKVPool::PagedKVPool(const llm::ModelConfig& config, Options options)
   for (int p = options_.max_pages - 1; p >= 0; --p) free_pages_.push_back(p);
 }
 
-std::size_t PagedKVPool::row_offset(int layer, int slot) const {
-  return (static_cast<std::size_t>(layer) *
-              static_cast<std::size_t>(options_.page_tokens) +
-          static_cast<std::size_t>(slot)) *
-         codec_.encoded_row_bytes();
-}
-
 std::int64_t PagedKVPool::page_bytes() const {
   return static_cast<std::int64_t>(config_.n_layers) * options_.page_tokens *
          2 * encoded_row_bytes();
@@ -50,10 +43,12 @@ Result<int> PagedKVPool::allocate_page() {
   const int id = free_pages_.back();
   free_pages_.pop_back();
   Page& page = pages_[static_cast<std::size_t>(id)];
-  const std::size_t bytes = row_offset(config_.n_layers, 0);
-  if (page.k.size() != bytes) {
-    page.k.assign(bytes, std::uint8_t{0});
-    page.v.assign(bytes, std::uint8_t{0});
+  const std::size_t floats = static_cast<std::size_t>(config_.n_layers) *
+                             static_cast<std::size_t>(options_.page_tokens) *
+                             static_cast<std::size_t>(config_.d_model);
+  if (page.k.size() != floats) {
+    page.k.assign(floats, 0.0f);
+    page.v.assign(floats, 0.0f);
   }
   page.refs = 1;
   ++stats_.pages_allocated;
@@ -186,8 +181,8 @@ Status PagedKVPool::reserve(SeqId id, int count) {
                        1) {
     // Copy-on-write: the tail holds filled slots, is shared (fork or
     // registered prefix), and the first of the `count` appends lands in
-    // it; give this sequence a private copy before it diverges. Encoded
-    // bytes copy verbatim — no re-quantisation on the copy path.
+    // it; give this sequence a private copy before it diverges. Stored
+    // rows copy verbatim — no re-quantisation on the copy path.
     const int tail = seq.pages.back();
     auto fresh = allocate_page();
     if (!fresh.is_ok()) return fresh.status();
@@ -288,57 +283,25 @@ int PagedKVPool::page_refcount(SeqId id, int pos) const {
   return pages_[static_cast<std::size_t>(page)].refs;
 }
 
+PagedKVPool::Page& PagedKVPool::page_at(SeqId id, int pos) {
+  const Sequence& seq = sequences_[static_cast<std::size_t>(id)];
+  assert(pos / options_.page_tokens < static_cast<int>(seq.pages.size()));
+  return pages_[static_cast<std::size_t>(
+      seq.pages[static_cast<std::size_t>(pos / options_.page_tokens)])];
+}
+
+std::span<float> PagedKVPool::row(std::vector<float>& side, int layer,
+                                  int pos) const {
+  const int slot = layer * options_.page_tokens + pos % options_.page_tokens;
+  const auto d_model = static_cast<std::size_t>(config_.d_model);
+  return std::span<float>(side).subspan(
+      static_cast<std::size_t>(slot) * d_model, d_model);
+}
+
 // --- PagedKVView -------------------------------------------------------------
 
 int PagedKVView::length() const {
   return pool_->sequences_[static_cast<std::size_t>(id_)].length;
-}
-
-std::size_t PagedKVView::float_offset(int layer, int slot) const {
-  return (static_cast<std::size_t>(layer) *
-              static_cast<std::size_t>(pool_->options_.page_tokens) +
-          static_cast<std::size_t>(slot)) *
-         static_cast<std::size_t>(pool_->config_.d_model);
-}
-
-PagedKVView::DecodedPage& PagedKVView::decoded_page(int page_index) const {
-  if (static_cast<std::size_t>(page_index) >= decoded_.size())
-    decoded_.resize(static_cast<std::size_t>(page_index) + 1);
-  DecodedPage& dp = decoded_[static_cast<std::size_t>(page_index)];
-  const std::size_t floats = float_offset(pool_->config_.n_layers, 0);
-  if (dp.k.size() != floats) {
-    dp.k.assign(floats, 0.0f);
-    dp.v.assign(floats, 0.0f);
-    dp.slots = 0;
-  }
-  const PagedKVPool::Sequence& seq =
-      pool_->sequences_[static_cast<std::size_t>(id_)];
-  const int filled = std::clamp(
-      seq.length - page_index * pool_->options_.page_tokens, 0,
-      pool_->options_.page_tokens);
-  if (filled > dp.slots) {
-    // Decode the storage-backed slots this view has not seen yet — for
-    // every layer, so spans into the buffer work for the whole step.
-    const PagedKVPool::Page& page = pool_->pages_[static_cast<std::size_t>(
-        seq.pages[static_cast<std::size_t>(page_index)])];
-    const std::size_t row_bytes = pool_->codec_.encoded_row_bytes();
-    const std::size_t d_model =
-        static_cast<std::size_t>(pool_->config_.d_model);
-    for (int layer = 0; layer < pool_->config_.n_layers; ++layer) {
-      for (int slot = dp.slots; slot < filled; ++slot) {
-        const std::size_t src = pool_->row_offset(layer, slot);
-        const std::size_t dst = float_offset(layer, slot);
-        pool_->codec_.decode_row(
-            std::span<const std::uint8_t>(page.k.data() + src, row_bytes),
-            std::span<float>(dp.k.data() + dst, d_model));
-        pool_->codec_.decode_row(
-            std::span<const std::uint8_t>(page.v.data() + src, row_bytes),
-            std::span<float>(dp.v.data() + dst, d_model));
-      }
-    }
-    dp.slots = filled;
-  }
-  return dp;
 }
 
 void PagedKVView::append(int layer, int pos, std::span<const float> k_row,
@@ -348,31 +311,12 @@ void PagedKVView::append(int layer, int pos, std::span<const float> k_row,
   // `pos` may sit up to chunk-1 positions past the committed length (the
   // later rows of a chunked step); reserve() already grew the page table
   // to cover it.
-  assert(pos >= seq.length &&
-         pos / pool_->options_.page_tokens <
-             static_cast<int>(seq.pages.size()));
-  const int slot = pos % pool_->options_.page_tokens;
-  const int page_index = pos / pool_->options_.page_tokens;
-  PagedKVPool::Page& page = pool_->pages_[static_cast<std::size_t>(
-      seq.pages[static_cast<std::size_t>(page_index)])];
-  const std::size_t off = pool_->row_offset(layer, slot);
-  const std::size_t row_bytes = pool_->codec_.encoded_row_bytes();
-  pool_->codec_.encode_row(
-      k_row, std::span<std::uint8_t>(page.k.data() + off, row_bytes));
-  pool_->codec_.encode_row(
-      v_row, std::span<std::uint8_t>(page.v.data() + off, row_bytes));
-  // Round-trip the row into this view's decode cache so a read later in
-  // the same step sees exactly the dequantised values every future step
-  // (and every sharer of the page) will read back from storage.
-  DecodedPage& dp = decoded_page(page_index);
-  const std::size_t dst = float_offset(layer, slot);
-  const std::size_t d_model = static_cast<std::size_t>(pool_->config_.d_model);
-  pool_->codec_.decode_row(
-      std::span<const std::uint8_t>(page.k.data() + off, row_bytes),
-      std::span<float>(dp.k.data() + dst, d_model));
-  pool_->codec_.decode_row(
-      std::span<const std::uint8_t>(page.v.data() + off, row_bytes),
-      std::span<float>(dp.v.data() + dst, d_model));
+  assert(pos >= seq.length);
+  // The one codec pass a row gets: what every later read of it, by this
+  // sequence or any sharer of the page, sees.
+  PagedKVPool::Page& page = pool_->page_at(id_, pos);
+  pool_->codec_.quantise_row(k_row, pool_->row(page.k, layer, pos));
+  pool_->codec_.quantise_row(v_row, pool_->row(page.v, layer, pos));
   // A position is committed once the last layer's row lands. The last
   // layer's appends arrive in position order (KVCacheView protocol), so
   // each one extends the length by exactly one; the counter is this
@@ -381,26 +325,15 @@ void PagedKVView::append(int layer, int pos, std::span<const float> k_row,
   if (layer == pool_->config_.n_layers - 1) {
     assert(pos == seq.length);
     ++seq.length;
-    if (dp.slots == slot) dp.slots = slot + 1;
   }
 }
 
 std::span<const float> PagedKVView::k_at(int layer, int pos) const {
-  const int page_index = pos / pool_->options_.page_tokens;
-  const int slot = pos % pool_->options_.page_tokens;
-  const DecodedPage& dp = decoded_page(page_index);
-  return std::span<const float>(
-      dp.k.data() + float_offset(layer, slot),
-      static_cast<std::size_t>(pool_->config_.d_model));
+  return pool_->row(pool_->page_at(id_, pos).k, layer, pos);
 }
 
 std::span<const float> PagedKVView::v_at(int layer, int pos) const {
-  const int page_index = pos / pool_->options_.page_tokens;
-  const int slot = pos % pool_->options_.page_tokens;
-  const DecodedPage& dp = decoded_page(page_index);
-  return std::span<const float>(
-      dp.v.data() + float_offset(layer, slot),
-      static_cast<std::size_t>(pool_->config_.d_model));
+  return pool_->row(pool_->page_at(id_, pos).v, layer, pos);
 }
 
 }  // namespace bbal::serve

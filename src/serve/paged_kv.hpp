@@ -8,17 +8,18 @@
 //
 //  - a page holds `page_tokens` positions of K and V rows for every layer
 //    (one physical allocation, laid out [layer][slot][row]);
-//  - rows are stored *packed* in the pool's quant::KvFormat — FP32 raw
-//    floats by default, or INT8 / BFP / BBFP shared-exponent groups via
-//    quant::KvPageCodec, quantised on append and dequantised on read
-//    (see docs/KV_QUANT.md). page_bytes() and every byte metric derived
-//    from it count these packed bytes;
+//  - rows are stored as the floats attention reads: each appended row
+//    runs once through quant::KvPageCodec::quantise_row in the pool's
+//    quant::KvFormat (FP32 by default: a plain copy) and is never decoded
+//    again (see docs/KV_QUANT.md). page_bytes() and every byte metric
+//    derived from it still count the format's *packed* row size, so the
+//    simulated pool is priced as if it held the encoded bytes;
 //  - a sequence is a page table (vector of page ids) plus a length;
 //  - pages are refcounted: fork() shares every page of a sequence, and
 //    create(prompt) attaches the full pages of a registered prompt prefix
 //    (copy-on-write: appending into a shared tail page copies it first).
-//    Sharing and CoW operate on the encoded bytes — the codec never runs
-//    twice over a shared prefix;
+//    Sharing and CoW move stored rows — the codec never runs twice over
+//    a shared prefix;
 //  - allocation is free-list based, capacity-bounded (max_pages), and
 //    exhaustion is a Status error after deterministic LRU eviction of
 //    registered prefixes — never an abort;
@@ -26,23 +27,25 @@
 //    which the engine surfaces as kv_pages_allocated, kv_bytes_peak,
 //    prefix_hit_rate and pool occupancy, and prices via hw::sram.
 //
-// Prefix sharing is bit-safe by construction: encoded K/V rows are a
+// Prefix sharing is bit-safe by construction: stored K/V rows are a
 // deterministic function of (model weights, strategy, kv format, token
 // prefix), and every request runs on the engine's one shared quantised
-// backend, so a shared page holds exactly the bytes every sharer would
+// backend, so a shared page holds exactly the rows every sharer would
 // have computed (test_paged_kv pins decoder-through-pool against
 // decoder-through-KVCache, float for float, in the FP32 format).
 //
 // Threading contract: all *structural* mutation — create / fork /
-// release / reserve_next / register_prefix / probe — is serial-only (the
-// engine does it between ticks). During a tick, the fused batch step
-// appends and reads through each sequence's PagedKVView from the calling
-// thread only (parallelism lives inside the batched GEMMs, which never
-// touch the pool); a view append only writes that sequence's reserved
-// tail slot, its own length counter and its own decode cache — disjoint
-// state, no locks needed, and safe even if a caller steps distinct
-// sequences from distinct threads (shared pages are only ever *read*
-// concurrently; a page with refcount > 1 is copied before any append).
+// release / reserve / truncate / register_prefix / probe — is
+// serial-only (the engine does it between ticks), and only it hands out,
+// copies or frees pages, so a row span a view returns stays valid for
+// the step. During a tick, the fused batch step appends
+// and reads through each sequence's PagedKVView from the calling thread
+// only (parallelism lives inside the batched GEMMs, which never touch the
+// pool); a view append only writes that sequence's reserved slots and its
+// own length counter — disjoint state, no locks needed, and safe even if
+// a caller steps distinct sequences from distinct threads (shared pages
+// are only ever *read* concurrently; a page with refcount > 1 is copied
+// before any append).
 #pragma once
 
 #include <cstdint>
@@ -120,7 +123,7 @@ class PagedKVPool {
   /// (oldest use first) and then — if the pool is still full — returns an
   /// error, rolling back this call's fresh allocations so the sequence's
   /// page table and length are unchanged (a completed tail copy stands:
-  /// same bytes, now private). Must precede the append(s) of each step;
+  /// same rows, now private). Must precede the append(s) of each step;
   /// the engine calls it serially before a tick.
   [[nodiscard]] Status reserve(SeqId id, int count);
 
@@ -131,7 +134,7 @@ class PagedKVPool {
   /// decoding's rejection path). Pages past the new tail are unreffed —
   /// freed when theirs was the last reference, kept alive when a fork or
   /// registered prefix still holds them — and a partially-filled tail
-  /// page is kept (its slots above `n` are dead bytes every future
+  /// page is kept (its slots above `n` are dead rows every future
   /// append overwrites before any read, per the KVCacheView protocol).
   /// `n > length` is a no-op; reserve()-grown but unfilled tail pages are
   /// dropped too. Serial-only, like all structural mutation.
@@ -165,11 +168,11 @@ class PagedKVPool {
   [[nodiscard]] int max_pages() const { return options_.max_pages; }
   /// The row codec every page stores through.
   [[nodiscard]] const quant::KvPageCodec& codec() const { return codec_; }
-  /// Packed bytes one K or V row occupies (d_model floats encoded).
+  /// Packed bytes one K or V row is priced at (d_model floats encoded).
   [[nodiscard]] std::int64_t encoded_row_bytes() const {
     return static_cast<std::int64_t>(codec_.encoded_row_bytes());
   }
-  /// *Packed* bytes of K+V payload one page holds
+  /// *Packed* bytes of K+V payload one page is priced at
   /// (layers * slots * 2 * encoded_row_bytes).
   [[nodiscard]] std::int64_t page_bytes() const;
   [[nodiscard]] std::int64_t bytes_in_use() const {
@@ -186,8 +189,8 @@ class PagedKVPool {
   friend class PagedKVView;
 
   struct Page {
-    std::vector<std::uint8_t> k;  ///< [layer][slot][encoded row], lazy
-    std::vector<std::uint8_t> v;
+    std::vector<float> k;  ///< [layer][slot][d_model], lazy
+    std::vector<float> v;
     int refs = 0;
   };
 
@@ -215,8 +218,11 @@ class PagedKVPool {
   [[nodiscard]] int best_prefix_match(std::span<const int> prompt,
                                       int* match_pages) const;
 
-  // Packed-payload addressing within a page (byte offset of a row).
-  [[nodiscard]] std::size_t row_offset(int layer, int slot) const;
+  /// The page holding position `pos` of `id`; the page table must cover it.
+  [[nodiscard]] Page& page_at(SeqId id, int pos);
+  /// The `layer` row of position `pos` within one side (K or V) of its page.
+  [[nodiscard]] std::span<float> row(std::vector<float>& side, int layer,
+                                     int pos) const;
 
   llm::ModelConfig config_;
   Options options_;
@@ -231,22 +237,14 @@ class PagedKVPool {
 
 /// llm::KVCacheView over one pool sequence: what Decoder::step reads and
 /// writes in the paged serving path. Append assumes reserve() covered the
-/// step's positions (the engine's tick protocol); the appended positions
-/// commit to the sequence length as the last layer's rows land, in
-/// position order — so a chunked step's n positions become readable
-/// history exactly when the KVCacheView protocol says they must.
-///
-/// Because pages hold packed bytes, the view owns a per-page decode cache:
-/// k_at/v_at return spans into page-sized float buffers filled lazily from
-/// the encoded storage (and directly by append, which round-trips the row
-/// through the codec so a same-step read sees exactly the values every
-/// later step will). Buffers are per-view and allocated once per page, so
-/// spans satisfy the KVCacheView protocol — valid for the rest of the
-/// step, no reallocation mid-step — and a page shared by many sequences
-/// is decoded independently by each reader, never mutated. In the FP32
-/// format the codec is the identity, so the decode cache reproduces the
-/// storage bytes exactly and streams stay bit-identical to the
-/// float-paged engine.
+/// step's positions (the engine's tick protocol) and stores each row once,
+/// through the pool's codec; the appended positions commit to the sequence
+/// length as the last layer's rows land, in position order — so a chunked
+/// step's n positions become readable history exactly when the
+/// KVCacheView protocol says they must. k_at/v_at return spans into the
+/// page itself: pages are only allocated, copied or freed between steps,
+/// so a span stays valid for the rest of the step, and a page shared by
+/// many sequences is read in place by each of them.
 class PagedKVView final : public llm::KVCacheView {
  public:
   PagedKVView() = default;
@@ -264,27 +262,8 @@ class PagedKVView final : public llm::KVCacheView {
   [[nodiscard]] PagedKVPool::SeqId sequence() const { return id_; }
 
  private:
-  /// Decoded floats of one page, [layer][slot][d_model] per side. `slots`
-  /// counts the leading positions decoded for every layer; the slot a
-  /// step is appending sits above it until the last layer's row lands.
-  struct DecodedPage {
-    std::vector<float> k;
-    std::vector<float> v;
-    int slots = 0;
-  };
-
-  /// The page's decode cache, with every filled slot (per the sequence
-  /// length) decoded. Allocates the buffers on first touch of the page.
-  [[nodiscard]] DecodedPage& decoded_page(int page_index) const;
-  /// Float offset of (layer, slot) within a DecodedPage buffer.
-  [[nodiscard]] std::size_t float_offset(int layer, int slot) const;
-
   PagedKVPool* pool_ = nullptr;
   PagedKVPool::SeqId id_ = -1;
-  /// Indexed by page position in the sequence's page table. Entries move
-  /// but their float buffers never reallocate once sized, so spans handed
-  /// out stay valid for the rest of a step.
-  mutable std::vector<DecodedPage> decoded_;
 };
 
 }  // namespace bbal::serve

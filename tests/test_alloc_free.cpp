@@ -1,8 +1,9 @@
 // Steady-state heap allocations of the decode step's kernels: once warm,
 // block quantisation of an activation matrix, a pooled GEMM at one and four
-// threads, the nonlinear unit's softmax and SiLU, and pricing a serving
-// tick on the accelerator model allocate nothing. The global operator new
-// is replaced by a counting one, so this test is a binary of its own.
+// threads, the nonlinear unit's softmax and SiLU, a fused decoder step over
+// KV pool pages, and pricing a serving tick on the accelerator model
+// allocate nothing. The global operator new is replaced by a counting one,
+// so this test is a binary of its own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,13 +17,16 @@
 #include "accel/config.hpp"
 #include "accel/simulator.hpp"
 #include "accel/workload.hpp"
+#include "bbal/registry.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "llm/decoder.hpp"
 #include "llm/model.hpp"
 #include "llm/tensor.hpp"
 #include "nl/engine.hpp"
 #include "quant/block.hpp"
 #include "quant/strategy.hpp"
+#include "serve/paged_kv.hpp"
 
 namespace {
 
@@ -128,6 +132,65 @@ TEST(AllocFree, NonlinearUnitSoftmaxAndSilu) {
   silu();
   EXPECT_EQ(allocations_during(softmax), 0u);
   EXPECT_EQ(allocations_during(silu), 0u);
+}
+
+TEST(AllocFree, WarmPagedStepAllocatesNothing) {
+  // A BBFP(4,2) model over BBFP(4,2) pages of 4 positions. A leader
+  // prefills a 9-token prompt and registers its two full pages.
+  llm::ModelConfig config;
+  config.vocab = 64;
+  config.d_model = 32;
+  config.n_layers = 2;
+  config.n_heads = 2;
+  config.d_ff = 48;
+  const llm::TransformerWeights weights = llm::generate_weights(config);
+  auto mm = BackendRegistry::instance().make_matmul("BBFP(4,2)").expect("mm");
+  llm::Fp32NonlinearBackend nl;
+  llm::Transformer model(config, weights, *mm, nl);
+  llm::Decoder decoder(model);
+  serve::PagedKVPool::Options options;
+  options.page_tokens = 4;
+  options.kv_format = quant::KvFormat::parse("BBFP(4,2)").expect("format");
+  serve::PagedKVPool pool(config, options);
+  const std::vector<int> prompt = {3, 1, 4, 1, 5, 9, 2, 6, 5};
+  const auto leader = pool.create();
+  ASSERT_TRUE(pool.reserve(leader, 9).is_ok());
+  serve::PagedKVView leader_view(pool, leader);
+  llm::Matrix logits;
+  decoder.prefill_chunk(prompt, leader_view, logits);
+  pool.register_prefix(leader, prompt);
+
+  // One pass over two fresh sequences: a follower attached to the prefix
+  // steps its last prompt token and two decode tokens into a page of its
+  // own, beside a new sequence that prefills 3 tokens and decodes 2,
+  // crossing into its second page. Pages are reserved and views built
+  // before the counted window.
+  const int prefill[] = {5, 7, 8, 9};
+  const int prefill_counts[] = {1, 3};
+  const int decode[][2] = {{10, 11}, {12, 13}};
+  const int decode_counts[] = {1, 1};
+  const auto pass = [&] {
+    const auto follower = pool.create(prompt);
+    const auto fresh = pool.create();
+    EXPECT_EQ(pool.shared_length(follower), 8);
+    EXPECT_TRUE(pool.reserve(follower, 3).is_ok());
+    EXPECT_TRUE(pool.reserve(fresh, 5).is_ok());
+    serve::PagedKVView follower_view(pool, follower);
+    serve::PagedKVView fresh_view(pool, fresh);
+    llm::KVCacheView* views[] = {&follower_view, &fresh_view};
+    const std::uint64_t count = allocations_during([&] {
+      decoder.step_groups(prefill, views, prefill_counts, logits);
+      for (const auto& tokens : decode)
+        decoder.step_groups(tokens, views, decode_counts, logits);
+    });
+    EXPECT_EQ(pool.length(follower), 11);
+    EXPECT_EQ(pool.length(fresh), 5);
+    pool.release(follower);
+    pool.release(fresh);
+    return count;
+  };
+  pass();  // warm: the decoder's workspace grows to this context
+  EXPECT_EQ(pass(), 0u);
 }
 
 TEST(AllocFree, PricingAWarmTickAllocatesNothing) {

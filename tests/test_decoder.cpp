@@ -175,14 +175,11 @@ void expect_step_batch_matches_steps(const std::string& strategy,
     if (active.empty()) break;
 
     std::vector<int> tokens;
-    std::vector<KVCacheRef> refs;
-    refs.reserve(active.size());
     std::vector<KVCacheView*> views;
     for (const std::size_t s : active) {
       tokens.push_back(seqs[s][progress[s]]);
-      refs.emplace_back(caches[s]);
+      views.push_back(&caches[s]);
     }
-    for (KVCacheRef& ref : refs) views.push_back(&ref);
     fused.step_batch(tokens, views, logits);
     ASSERT_EQ(logits.rows(), static_cast<int>(active.size()));
     ASSERT_EQ(logits.cols(), config.vocab);
@@ -252,13 +249,12 @@ void expect_prefill_chunk_matches_steps(const std::string& strategy,
     ref_logits.push_back(reference.step(t, ref_cache));
 
   Matrix logits;
-  KVCacheRef view(cache);
   std::size_t consumed = 0;
   while (consumed < prompt.size()) {
     const std::size_t n =
         std::min(static_cast<std::size_t>(chunk), prompt.size() - consumed);
     fused.prefill_chunk(std::span<const int>(prompt).subspan(consumed, n),
-                        view, logits);
+                        cache, logits);
     ASSERT_EQ(logits.rows(), 1);
     ASSERT_EQ(logits.cols(), config.vocab);
     consumed += n;
@@ -327,8 +323,7 @@ TEST(DecoderGroups, MixedPrefillAndDecodeRowsMatchSerial) {
       std::vector<int> tokens(x_prompt.begin() + base,
                               x_prompt.begin() + base + 3);
       tokens.push_back(y_tokens[tick]);
-      KVCacheRef vx(x), vy(y);
-      std::vector<KVCacheView*> views = {&vx, &vy};
+      std::vector<KVCacheView*> views = {&x, &y};
       const std::vector<int> counts = {3, 1};
       fused.step_groups(tokens, views, counts, logits);
       ASSERT_EQ(logits.rows(), 2);
@@ -373,8 +368,7 @@ TEST(DecoderGroups, AllRowsModeSurfacesEveryPositionBitIdentically) {
       ref_logits.push_back(reference.step(t, ref_cache));
 
     Matrix logits;
-    KVCacheRef view(cache);
-    std::vector<KVCacheView*> views = {&view};
+    std::vector<KVCacheView*> views = {&cache};
     const std::vector<int> counts = {3};
     fused.step_groups(window, views, counts, logits,
                       Decoder::LogitsMode::kAllRows);
@@ -402,8 +396,7 @@ TEST(DecoderGroups, AllRowsModeLeavesTheDefaultPathByteExact) {
   KVCache scratch = fused.make_cache();
   {
     Matrix logits;
-    KVCacheRef view(scratch);
-    std::vector<KVCacheView*> views = {&view};
+    std::vector<KVCacheView*> views = {&scratch};
     const std::vector<int> counts = {3};
     fused.step_groups(std::span<const int>(kTokens).first(3), views, counts,
                       logits, Decoder::LogitsMode::kAllRows);
@@ -417,18 +410,16 @@ TEST(DecoderGroups, AllRowsModeLeavesTheDefaultPathByteExact) {
   for (const int t : prompt) ref_last = reference.step(t, ref_cache);
 
   KVCache cache = fused.make_cache();
-  KVCacheRef view(cache);
   Matrix logits;
-  fused.prefill_chunk(std::span<const int>(prompt).first(4), view, logits);
-  fused.prefill_chunk(std::span<const int>(prompt).subspan(4), view, logits);
+  fused.prefill_chunk(std::span<const int>(prompt).first(4), cache, logits);
+  fused.prefill_chunk(std::span<const int>(prompt).subspan(4), cache, logits);
   ASSERT_EQ(logits.rows(), 1);
   const std::span<const float> row = logits.row(0);
   EXPECT_EQ(std::vector<float>(row.begin(), row.end()), ref_last);
 
   // And an explicit kLastPerGroup equals the default-argument call.
   KVCache again = fused.make_cache();
-  KVCacheRef view2(again);
-  std::vector<KVCacheView*> views2 = {&view2};
+  std::vector<KVCacheView*> views2 = {&again};
   const int count = static_cast<int>(prompt.size());
   Matrix explicit_logits;
   fused.step_groups(prompt, views2, std::span<const int>(&count, 1),
@@ -457,8 +448,7 @@ TEST(DecoderBatch, ReusesCallerLogitsStorage) {
   KVCache a = decoder.make_cache();
   KVCache b = decoder.make_cache();
   Matrix logits;
-  KVCacheRef ra(a), rb(b);
-  std::vector<KVCacheView*> views = {&ra, &rb};
+  std::vector<KVCacheView*> views = {&a, &b};
   const std::vector<int> tokens = {4, 7};
   decoder.step_batch(tokens, views, logits);
   const float* data = logits.flat().data();

@@ -1,6 +1,7 @@
 // quant::KvFormat / quant::KvPageCodec: name parsing, packed row sizes,
 // FP32 identity, block-format round trips pinned against quant::quantise
-// (the codec adds a byte layout, never a second rounding rule), and the
+// (the codec adds a byte layout, never a second rounding rule),
+// quantise_row pinned to the byte round trip in every format, and the
 // INT8 per-group error bound.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,12 @@
 
 namespace bbal::quant {
 namespace {
+
+/// Bit-for-bit equality: signed zeros must match too.
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
 std::vector<float> random_row(int n, unsigned seed) {
   std::mt19937 rng(seed);
@@ -111,6 +118,25 @@ TEST(KvPageCodec, BlockFormatsRoundTripExactlyAsQuantise) {
         ASSERT_EQ(out[static_cast<std::size_t>(i)],
                   ref[static_cast<std::size_t>(i)])
             << name << " d=" << d << " elem " << i;
+    }
+  }
+}
+
+TEST(KvPageCodec, QuantiseRowIsTheByteRoundTripBitForBit) {
+  for (const char* name :
+       {"FP32", "INT8", "BFP4", "BFP8", "BBFP(4,2)", "BBFP(6,3)"}) {
+    for (const int d : {7, 32, 40, 128}) {
+      const KvPageCodec codec(KvFormat::parse(name).expect(name), d);
+      std::vector<float> row = random_row(d, static_cast<unsigned>(d) + 3u);
+      std::vector<std::uint8_t> packed(codec.encoded_row_bytes());
+      codec.encode_row(row, packed);
+      std::vector<float> decoded(row.size());
+      codec.decode_row(packed, decoded);
+      std::vector<float> quantised(row.size());
+      codec.quantise_row(row, quantised);
+      EXPECT_TRUE(same_bits(quantised, decoded)) << name << " d=" << d;
+      codec.quantise_row(row, row);  // in place
+      EXPECT_TRUE(same_bits(row, decoded)) << name << " d=" << d << " in place";
     }
   }
 }

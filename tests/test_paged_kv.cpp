@@ -3,9 +3,10 @@
 // (never an abort) — and the subsystem's bit-identity anchor: a decoder
 // stepping through a PagedKVView produces float-identical logits to the
 // same decoder stepping through a contiguous llm::KVCache. Pages store
-// packed bytes in a quant::KvFormat (FP32 identity by default), so
-// sharing is asserted through refcounts and decoded values, never span
-// addresses, and the quantised formats get their own CoW / prefix tests.
+// each row once, quantised at append in a quant::KvFormat (FP32 identity
+// by default), and every sharer reads a shared page in place, so sharing
+// shows in refcounts and span addresses; the quantised formats get their
+// own CoW / prefix tests.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -120,17 +121,12 @@ TEST(PagedKVPool, ForkSharesPagesAndCopiesOnDivergence) {
   EXPECT_EQ(pool.stats().pages_in_use, 2);  // all pages shared
   EXPECT_EQ(pool.page_refcount(a, 5), 2);
 
-  // Shared tail reads decode one refcounted physical page: both views see
-  // identical rows (each through its own decode cache — addresses are an
-  // implementation detail, the shared page is what refcounts prove).
+  // Shared tail reads land in one refcounted physical page: both views
+  // hand out the same row of it.
   const PagedKVView va(pool, a);
   const PagedKVView vb(pool, b);
-  {
-    const auto ka = va.k_at(1, 5);
-    const auto kb = vb.k_at(1, 5);
-    ASSERT_EQ(ka.size(), kb.size());
-    for (std::size_t i = 0; i < ka.size(); ++i) EXPECT_EQ(ka[i], kb[i]);
-  }
+  EXPECT_EQ(va.k_at(1, 5).data(), vb.k_at(1, 5).data());
+  EXPECT_EQ(va.k_at(1, 5).size(), vb.k_at(1, 5).size());
   const float before = va.k_at(0, 4).front();
 
   // a appends -> a copies the shared tail page (copy-on-write)...
@@ -139,9 +135,10 @@ TEST(PagedKVPool, ForkSharesPagesAndCopiesOnDivergence) {
   EXPECT_EQ(pool.page_refcount(a, 4), 1);
   EXPECT_EQ(pool.page_refcount(b, 4), 1);
   // ...b's view of the old rows is untouched, and the copied prefix of
-  // the diverged page matches bit for bit.
+  // the diverged page matches bit for bit from a page of its own.
   EXPECT_EQ(vb.k_at(0, 4).front(), before);
   EXPECT_EQ(va.k_at(0, 4).front(), before);
+  EXPECT_NE(va.k_at(0, 4).data(), vb.k_at(0, 4).data());
 
   // b appends next: its tail is now private again, no second copy.
   append_position(pool, b, 222.0f);
@@ -168,16 +165,11 @@ TEST(PagedKVPool, PrefixHitsAreAccountedAndCapped) {
   EXPECT_EQ(pool.stats().prefix_hit_tokens, 8);
   EXPECT_EQ(pool.stats().prefix_lookup_tokens, 20);  // both creates counted
   // Shared positions read the same physical page (refcount counts leader,
-  // follower and the registry), decoding to identical rows in each view.
+  // follower and the registry): both views hand out the same row.
   const PagedKVView vl(pool, leader);
   const PagedKVView vf(pool, follower);
   EXPECT_EQ(pool.page_refcount(follower, 3), 3);
-  {
-    const auto kl = vl.k_at(0, 3);
-    const auto kf = vf.k_at(0, 3);
-    ASSERT_EQ(kl.size(), kf.size());
-    for (std::size_t i = 0; i < kl.size(); ++i) EXPECT_EQ(kl[i], kf[i]);
-  }
+  EXPECT_EQ(vl.k_at(0, 3).data(), vf.k_at(0, 3).data());
 
   // A prompt that is exactly the registered pages must still recompute
   // its final position: the cap keeps sharing strictly below prompt size.
@@ -323,7 +315,7 @@ TEST(PagedKVView, QuantisedAppendsDecodeToTheQuantiseReference) {
       }
       writer.append(l, pos, k, v);
       // The reference the codec must reproduce: quantise() over doubles,
-      // narrowed to float exactly as the decode path narrows.
+      // narrowed to float exactly as the codec narrows.
       const std::vector<double> wide(k.begin(), k.end());
       const std::vector<double> quantised =
           quant::quantise(std::span<const double>(wide),
@@ -331,8 +323,8 @@ TEST(PagedKVView, QuantisedAppendsDecodeToTheQuantiseReference) {
       expected_k.emplace_back(quantised.begin(), quantised.end());
     }
   }
-  // Both the appending view (same-step cache) and a fresh reader (decode
-  // from packed storage) must see exactly the quantise() reference.
+  // Both the appending view and a fresh reader must see exactly the
+  // quantise() reference, stored once at append.
   const PagedKVView reader(pool, seq);
   for (int pos = 0; pos < 6; ++pos) {
     for (int l = 0; l < cfg.n_layers; ++l) {
@@ -352,7 +344,7 @@ TEST(PagedKVView, QuantisedAppendsDecodeToTheQuantiseReference) {
   }
 }
 
-TEST(PagedKVPool, CopyOnWriteForksOverEncodedPages) {
+TEST(PagedKVPool, CopyOnWriteForksOverQuantisedPages) {
   PagedKVPool::Options options = small_pool(4, 8);
   options.kv_format = quant::KvFormat::parse("BFP4").expect("format");
   PagedKVPool pool(tiny_config(), options);
@@ -364,8 +356,8 @@ TEST(PagedKVPool, CopyOnWriteForksOverEncodedPages) {
   const std::vector<float> shared_row(vb.k_at(1, 4).begin(),
                                       vb.k_at(1, 4).end());
 
-  // a diverges: the shared tail page is copied as opaque encoded bytes, so
-  // b reads back bit-identical quantised rows afterwards.
+  // a diverges: the shared tail page's stored rows are copied verbatim,
+  // so b reads back bit-identical quantised rows afterwards.
   append_position(pool, a, 111.0f);
   EXPECT_EQ(pool.stats().page_copies, 1);
   const auto after = vb.k_at(1, 4);
@@ -397,7 +389,7 @@ TEST(PagedKVPool, PrefixSharingVerifiesTokensOnQuantisedPages) {
   other[2] = 42;
   EXPECT_EQ(pool.probe_prefix_tokens(other), 0);
 
-  // The follower decodes the shared quantised rows to the leader's values.
+  // The follower reads the leader's quantised rows in place.
   const PagedKVView vl(pool, leader);
   const PagedKVView vf(pool, follower);
   for (const int pos : {0, 3, 7}) {
@@ -437,7 +429,7 @@ TEST(PagedKVPool, TruncateFreesBoundaryPagesAndKeepsMidPageTails) {
   pool.truncate(a, 7);
   EXPECT_EQ(pool.length(a), 3);
 
-  // Survivors are untouched bytes, and truncate-to-empty frees everything.
+  // Survivors are untouched rows, and truncate-to-empty frees everything.
   const PagedKVView va(pool, a);
   for (int pos = 0; pos < 3; ++pos)
     EXPECT_EQ(va.k_at(0, pos).front(), 100.0f + static_cast<float>(pos));
@@ -591,7 +583,7 @@ TEST(PagedKVPool, ChunkReserveFailureAfterCowKeepsRefcountsBalanced) {
   EXPECT_EQ(pool.length(a), 6);  // no position was committed
   EXPECT_EQ(pool.page_refcount(a, 5), 1);  // a's tail is now the copy
   EXPECT_EQ(pool.page_refcount(b, 5), 1);  // b kept the original
-  // Both sequences still decode their six positions bit-identically.
+  // Both sequences still read their six positions bit-identically.
   const PagedKVView va(pool, a);
   const PagedKVView vb(pool, b);
   for (int pos = 0; pos < 6; ++pos) {

@@ -1,12 +1,14 @@
-// Whole-token numeric flag values for the recorders: the value must be one
-// finite number and nothing after it, no smaller than the flag's floor.
-// "2x", "banana", "", "inf", "-1" for an unsigned flag and an overflowing
-// value are all rejected, where atoi/strtoull would read a prefix, a zero
-// or a wrapped value.
+// Whole-token numeric flag and environment values for the recorders: the
+// value must be one finite number and nothing after it, no smaller than
+// its floor. "2x", "banana", "", "inf", "-1" for an unsigned flag and an
+// overflowing value are all rejected, where atoi/strtoull would read a
+// prefix, a zero or a wrapped value.
 #pragma once
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
@@ -26,6 +28,18 @@ template <typename T>
   }
   out = value;
   return true;
+}
+
+/// Read the integer environment variable `name` into `out` (left as is
+/// when unset) through parse_number with floor `lo`; false, after naming
+/// the variable and its value on stderr as `tool`, when malformed.
+[[nodiscard]] inline bool env_number(const char* tool, const char* name,
+                                     int lo, int& out) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || parse_number(std::string_view(value), lo, out))
+    return true;
+  std::fprintf(stderr, "%s: bad %s value \"%s\"\n", tool, name, value);
+  return false;
 }
 
 }  // namespace bbal::tools

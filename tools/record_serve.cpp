@@ -26,7 +26,9 @@
 //        shared-prefix only), BBAL_SERVE_FRONTIER_PREFIX (default 24,
 //        frontier sweep only), BBAL_SERVE_LONG_PROMPT (default 96) and
 //        BBAL_SERVE_LONG_EVERY (default 4) for the long-prompt mix,
-//        BBAL_THREADS (--threads wins)
+//        BBAL_THREADS (--threads wins). The integer variables take one
+//        whole number (eval tokens >= 2, prefixes >= 0, the rest >= 1);
+//        any other value exits 2, naming the variable.
 //
 // KV formats: --kv-format stores every engine's paged KV cache in the
 // named quant::KvFormat (see docs/KV_QUANT.md) — the ad-hoc/smoke path.
@@ -110,11 +112,6 @@
 #include "serve/workload.hpp"
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
 
 /// True when `partial` is a (possibly complete) prefix of `full`.
 bool is_prefix(const std::vector<int>& partial, const std::vector<int>& full) {
@@ -277,15 +274,33 @@ int main(int argc, char** argv) {
                  "record_serve: --draft and --draft-k go together\n");
     return 2;
   }
+  // Each count's floor is what its use needs: sample_stream draws at least
+  // two eval tokens, a shared prefix may be empty.
+  int eval_tokens = 128;
+  int num_requests = 8;
+  int new_tokens = 16;
+  int max_batch = 4;
+  int prefix_len = 8;
+  int frontier_prefix = 24;
+  int long_prompt = 96;
+  int long_every = 4;
+  const auto env = [](const char* name, int lo, int& out) {
+    return tools::env_number("record_serve", name, lo, out);
+  };
+  if (!env("BBAL_EVAL_TOKENS", 2, eval_tokens) ||
+      !env("BBAL_SERVE_REQUESTS", 1, num_requests) ||
+      !env("BBAL_SERVE_NEW_TOKENS", 1, new_tokens) ||
+      !env("BBAL_SERVE_BATCH", 1, max_batch) ||
+      !env("BBAL_SERVE_PREFIX", 0, prefix_len) ||
+      !env("BBAL_SERVE_FRONTIER_PREFIX", 0, frontier_prefix) ||
+      !env("BBAL_SERVE_LONG_PROMPT", 1, long_prompt) ||
+      !env("BBAL_SERVE_LONG_EVERY", 1, long_every))
+    return 2;
   // The knob must land before the first ThreadPool::global() use.
   if (threads_flag > 0) common::ThreadPool::set_global_threads(threads_flag);
 
   const char* model_env = std::getenv("BBAL_MODEL");
   const std::string model_name = model_env != nullptr ? model_env : "Llama-7B";
-  const int eval_tokens = env_int("BBAL_EVAL_TOKENS", 128);
-  const int num_requests = env_int("BBAL_SERVE_REQUESTS", 8);
-  const int new_tokens = env_int("BBAL_SERVE_NEW_TOKENS", 16);
-  const int max_batch = env_int("BBAL_SERVE_BATCH", 4);
 
   // The serving rows of the paper's strategy space: the FP32 reference, the
   // INT8 ASIC baseline, classic BFP and the BBAL formats.
@@ -369,8 +384,6 @@ int main(int argc, char** argv) {
       return mix;
     }
     if (name == "long-prompt") {
-      const int long_prompt = env_int("BBAL_SERVE_LONG_PROMPT", 96);
-      const int long_every = env_int("BBAL_SERVE_LONG_EVERY", 4);
       mix.requests = serve::long_prompt_requests(
           prepared->config, num_requests, /*base_prompt_len=*/12, long_prompt,
           long_every, new_tokens, seed);
@@ -410,7 +423,7 @@ int main(int argc, char** argv) {
                                             seed);
     mix.descriptor = "trace(" + path + ",seed=" + std::to_string(seed) + ")";
   } else {
-    mix = build_mix(workload, env_int("BBAL_SERVE_PREFIX", 8));
+    mix = build_mix(workload, prefix_len);
   }
   std::vector<serve::Request> requests = std::move(mix.requests);
   std::string descriptor = std::move(mix.descriptor);
@@ -523,7 +536,6 @@ int main(int argc, char** argv) {
   // in how the pool stores K/V — kv_bytes_peak falls with the format while
   // the stream hash records any token divergence.
   if (committed) {
-    const int frontier_prefix = env_int("BBAL_SERVE_FRONTIER_PREFIX", 24);
     const Mix frontier = build_mix("shared-prefix", frontier_prefix);
     std::fprintf(stderr, "frontier: %zu requests [%s] under %zu KV formats\n",
                  frontier.requests.size(), frontier.descriptor.c_str(),

@@ -33,7 +33,9 @@
 //        is the legacy lockstep (budget 0), byte-exact with the default.
 // Env:   BBAL_MODEL (default Llama-7B), BBAL_EVAL_TOKENS (default 128),
 //        BBAL_SLO_REQUESTS (default 24), BBAL_SLO_NEW_TOKENS (default 16),
-//        BBAL_SLO_BATCH (default 4), BBAL_THREADS (--threads wins)
+//        BBAL_SLO_BATCH (default 4), BBAL_THREADS (--threads wins). The
+//        integer variables take one whole number (eval tokens >= 2, the
+//        rest >= 1); any other value exits 2, naming the variable.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,11 +55,6 @@
 #include "serve/trace.hpp"
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
 
 // The swept offered loads (requests per engine tick). Capacity with the
 // default mix (batch 4, ~20-token prompts + 16 completions) is roughly
@@ -126,14 +123,23 @@ int main(int argc, char** argv) {
       have_out_path = true;
     }
   }
+  // sample_stream draws at least two eval tokens.
+  int eval_tokens = 128;
+  int num_requests = 24;
+  int new_tokens = 16;
+  int max_batch = 4;
+  const auto env = [](const char* name, int lo, int& out) {
+    return tools::env_number("record_slo", name, lo, out);
+  };
+  if (!env("BBAL_EVAL_TOKENS", 2, eval_tokens) ||
+      !env("BBAL_SLO_REQUESTS", 1, num_requests) ||
+      !env("BBAL_SLO_NEW_TOKENS", 1, new_tokens) ||
+      !env("BBAL_SLO_BATCH", 1, max_batch))
+    return 2;
   if (threads_flag > 0) common::ThreadPool::set_global_threads(threads_flag);
 
   const char* model_env = std::getenv("BBAL_MODEL");
   const std::string model_name = model_env != nullptr ? model_env : "Llama-7B";
-  const int eval_tokens = env_int("BBAL_EVAL_TOKENS", 128);
-  const int num_requests = env_int("BBAL_SLO_REQUESTS", 24);
-  const int new_tokens = env_int("BBAL_SLO_NEW_TOKENS", 16);
-  const int max_batch = env_int("BBAL_SLO_BATCH", 4);
   constexpr std::uint64_t kSeed = 2024;
   constexpr int kGroups = 4;
   constexpr int kPrefixLen = 16;  // one full KV page: prefix-aware can share

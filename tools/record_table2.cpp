@@ -9,7 +9,8 @@
 //
 // Usage: ./build/tools/record_table2 [out.json] [--threads N]
 // Env:   BBAL_MODEL (default Llama-7B), BBAL_EVAL_TOKENS (default 256),
-//        BBAL_THREADS (default hardware_concurrency; --threads wins)
+//        BBAL_THREADS (default hardware_concurrency; --threads wins). A
+//        BBAL_EVAL_TOKENS that is not one whole number >= 2 exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -57,13 +58,15 @@ int main(int argc, char** argv) {
       have_out_path = true;
     }
   }
+  // sample_stream draws at least two eval tokens.
+  int eval_tokens = 256;
+  if (!tools::env_number("record_table2", "BBAL_EVAL_TOKENS", 2, eval_tokens))
+    return 2;
   // The knob must land before the first ThreadPool::global() use.
   if (threads_flag > 0) common::ThreadPool::set_global_threads(threads_flag);
 
   const char* model_env = std::getenv("BBAL_MODEL");
   const std::string model_name = model_env != nullptr ? model_env : "Llama-7B";
-  const char* tok_env = std::getenv("BBAL_EVAL_TOKENS");
-  const int eval_tokens = tok_env != nullptr ? std::atoi(tok_env) : 256;
 
   SweepRunner sweep;
   sweep.eval_tokens(eval_tokens);
