@@ -1303,7 +1303,7 @@ std::string Report::to_json() const {
   append_json_int(os, "max_batch", max_batch);
   // Prefill block only when chunking is on: default-configured rows stay
   // byte-exact with the pre-chunking engine (the correctness bar every
-  // committed BENCH_serve.json / BENCH_slo.json row is held to).
+  // committed BENCH_serve.json row is held to).
   if (prefill_chunk != 1 || prefill_budget != 0) {
     append_json_int(os, "prefill_chunk", prefill_chunk);
     append_json_int(os, "prefill_budget", prefill_budget);

@@ -9,7 +9,8 @@
 // request, by submit index), so a plan replays bit-identically across
 // hosts, thread counts and compilers, exactly like the arrival
 // generators in serve/load. The chaos CI smoke and the preemption
-// goodput study (BENCH_slo.json) are both built on this determinism.
+// goodput pair (BENCH_serve.json's SLO section) are both built on this
+// determinism.
 //
 // Event taxonomy (docs/ROBUSTNESS.md has the full semantics):
 //  - ExhaustionWindow [begin, end): the KV pool refuses *new page*

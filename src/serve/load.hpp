@@ -9,7 +9,7 @@
 // arrival process from the service process: requests arrive on their own
 // clock whether or not the engine has kept up, which is what exposes the
 // saturation knee (goodput-under-SLO vs offered load) that
-// tools/record_slo records.
+// tools/record_serve's SLO section records.
 //
 // The clock is the engine's own simulated tick (one fused decode step =
 // one tick), so arrivals are fully deterministic: a generator is a pure

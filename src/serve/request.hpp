@@ -222,7 +222,7 @@ struct Report {
   double offered_tokens_per_tick = 0.0;
   /// Achieved service rate: generated tokens per elapsed clock tick.
   /// Tracks offered load until saturation, then plateaus at capacity —
-  /// the knee BENCH_slo.json records.
+  /// the knee BENCH_serve.json's SLO section records.
   double throughput_tokens_per_tick = 0.0;
   /// FNV-1a over (id, generated tokens) of completed requests: one exact
   /// CI field that pins every token of every stream.

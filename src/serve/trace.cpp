@@ -1,14 +1,13 @@
 #include "serve/trace.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <system_error>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 
 namespace bbal::serve {
@@ -39,77 +38,41 @@ std::string to_jsonl(const TraceEntry& entry) {
 
 Result<TraceEntry> parse_trace_line(const std::string& line) {
   using R = Result<TraceEntry>;
+  const auto parsed = parse_json(line);
+  if (!parsed.is_ok()) return R::error(parsed.message());
+  if (parsed.value().kind != JsonValue::Kind::kObject)
+    return R::error("expected an object");
   TraceEntry entry;
   bool have_arrival = false, have_prompt = false, have_budget = false;
-  std::size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos])))
-      ++pos;
-  };
-  skip_ws();
-  if (pos >= line.size() || line[pos] != '{') return R::error("expected '{'");
-  ++pos;
-  skip_ws();
-  if (pos < line.size() && line[pos] == '}') {
-    ++pos;
-  } else {
-    for (;;) {
-      skip_ws();
-      if (pos >= line.size() || line[pos] != '"')
-        return R::error("expected a quoted key");
-      const std::size_t key_start = ++pos;
-      while (pos < line.size() && line[pos] != '"') ++pos;
-      if (pos >= line.size()) return R::error("unterminated key");
-      const std::string key = line.substr(key_start, pos - key_start);
-      ++pos;
-      skip_ws();
-      if (pos >= line.size() || line[pos] != ':')
-        return R::error("expected ':' after \"" + key + "\"");
-      ++pos;
-      skip_ws();
-      const char* start = line.c_str() + pos;
-      char* end = nullptr;
-      errno = 0;
-      const long long value = std::strtoll(start, &end, 10);
-      if (end == start)
-        return R::error("expected an integer value for \"" + key + "\"");
-      const bool overflowed = errno == ERANGE;
-      pos += static_cast<std::size_t>(end - start);
-      int* field = nullptr;  // the int-sized fields; arrival_tick is 64-bit
-      if (key == "arrival_tick") {
-        entry.arrival_tick = value;
-        have_arrival = true;
-      } else if (key == "prompt_len") {
-        field = &entry.prompt_len;
-        have_prompt = true;
-      } else if (key == "max_new_tokens") {
-        field = &entry.max_new_tokens;
-        have_budget = true;
-      } else if (key == "prefix_group") {
-        field = &entry.prefix_group;
-      } else if (key == "prefix_len") {
-        field = &entry.prefix_len;
-      }  // unknown integer keys are ignored (forward compatibility)
-      const bool fits_int = value >= std::numeric_limits<int>::min() &&
-                            value <= std::numeric_limits<int>::max();
-      if (overflowed || (field != nullptr && !fits_int))
-        return R::error("\"" + key + "\" is out of range");
-      if (field != nullptr) *field = static_cast<int>(value);
-      skip_ws();
-      if (pos < line.size() && line[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      if (pos < line.size() && line[pos] == '}') {
-        ++pos;
-        break;
-      }
-      return R::error("expected ',' or '}'");
-    }
+  for (const auto& [key, value] : parsed.value().object) {
+    // Every value is a whole number, read from its source text so a
+    // fraction, an exponent or a 64-bit overflow never rounds into range.
+    std::int64_t number = 0;
+    const char* end = value.text.data() + value.text.size();
+    const auto [stop, error] = std::from_chars(value.text.data(), end, number);
+    if (value.kind != JsonValue::Kind::kNumber || stop != end)
+      return R::error("expected an integer value for \"" + key + "\"");
+    int* field = nullptr;  // the int-sized fields; arrival_tick is 64-bit
+    if (key == "arrival_tick") {
+      entry.arrival_tick = number;
+      have_arrival = true;
+    } else if (key == "prompt_len") {
+      field = &entry.prompt_len;
+      have_prompt = true;
+    } else if (key == "max_new_tokens") {
+      field = &entry.max_new_tokens;
+      have_budget = true;
+    } else if (key == "prefix_group") {
+      field = &entry.prefix_group;
+    } else if (key == "prefix_len") {
+      field = &entry.prefix_len;
+    }  // unknown integer keys are ignored (forward compatibility)
+    const bool fits_int = number >= std::numeric_limits<int>::min() &&
+                          number <= std::numeric_limits<int>::max();
+    if (error != std::errc() || (field != nullptr && !fits_int))
+      return R::error("\"" + key + "\" is out of range");
+    if (field != nullptr) *field = static_cast<int>(number);
   }
-  skip_ws();
-  if (pos != line.size()) return R::error("trailing characters");
   if (!have_arrival || !have_prompt || !have_budget)
     return R::error(
         "missing required key (arrival_tick, prompt_len, max_new_tokens)");

@@ -53,9 +53,10 @@ struct TraceEntry {
 /// writing a parsed file back is byte-identical.
 [[nodiscard]] std::string to_jsonl(const TraceEntry& entry);
 
-/// Parse one JSONL line (any key order, extra whitespace tolerated). A
-/// value that overflows or does not fit its field is an error naming the
-/// key, never a wrapped number.
+/// Parse one JSONL line with the library's JSON reader (common/json.hpp):
+/// one object, any key order, every value a whole number. A value that
+/// overflows or does not fit its field is an error naming the key, never
+/// a wrapped number.
 [[nodiscard]] Result<TraceEntry> parse_trace_line(const std::string& line);
 
 /// Write entries to `path`, one canonical JSONL line each.

@@ -213,6 +213,12 @@ TEST(Trace, ParserAcceptsAnyKeyOrderAndRejectsMalformed) {
            R"("prefix_group": 4294967296, "prefix_len": 1})",
            R"({"arrival_tick": 99999999999999999999, "prompt_len": 3, )"
            R"("max_new_tokens": 2})",
+           // Values that are not whole numbers, on known and unknown keys.
+           R"({"arrival_tick": 0, "prompt_len": 3.5, "max_new_tokens": 2})",
+           R"({"arrival_tick": 0, "prompt_len": 1e3, "max_new_tokens": 2})",
+           R"({"arrival_tick": 0, "prompt_len": "3", "max_new_tokens": 2})",
+           R"({"arrival_tick": 0, "prompt_len": 3, "max_new_tokens": 2, )"
+           R"("future_field": {"a": 1}})",
        })
     EXPECT_FALSE(serve::parse_trace_line(bad).is_ok()) << bad;
   const auto wrapped = serve::parse_trace_line(

@@ -28,7 +28,8 @@
 //        BBAL_SERVE_LONG_EVERY (default 4) for the long-prompt mix,
 //        BBAL_THREADS (--threads wins). The integer variables take one
 //        whole number (eval tokens >= 2, prefixes >= 0, the rest >= 1);
-//        any other value exits 2, naming the variable.
+//        any other value exits 2, naming the variable, and so does an
+//        unknown BBAL_MODEL, listing the known models.
 //
 // KV formats: --kv-format stores every engine's paged KV cache in the
 // named quant::KvFormat (see docs/KV_QUANT.md) — the ad-hoc/smoke path.
@@ -82,6 +83,17 @@
 // partial output must be a prefix of the sibling's stream, and every
 // failure must carry a typed reason — the CI chaos smoke's hash gate.
 //
+// The default invocation ends with the committed SLO capacity sweep
+// (docs/LOADGEN.md): offered load x scheduler policy over a 24-request,
+// 4-group shared-prefix trace with Poisson arrivals on the BBFP(4,2)
+// engine, scored against a fixed SLO, then the preemption pair — the
+// overload cell re-served under the exhaust@40..70 fault plan with
+// preemption off and on. BBAL_SERVE_BATCH and BBAL_SERVE_NEW_TOKENS
+// apply to it; the loads, trace shape and SLO are the constants below.
+// It gates itself: every sweep cell completes, both pair rows agree with
+// the overload cell under the sibling rule, and goodput with preemption
+// strictly exceeds goodput without.
+//
 // This is the one serving harness: the study tables in docs/ are these
 // flags' rows — the policy table is --workload shared-prefix --policy P
 // (BBAL_SERVE_PREFIX=64), the chunk sweep --workload long-prompt
@@ -102,6 +114,7 @@
 
 #include "bbal/registry.hpp"
 #include "common/threadpool.hpp"
+#include "llm/model.hpp"
 #include "parse_number.hpp"
 #include "quant/kv_codec.hpp"
 #include "serve/engine.hpp"
@@ -112,6 +125,21 @@
 #include "serve/workload.hpp"
 
 namespace {
+
+// The SLO capacity sweep's fixed shape (docs/LOADGEN.md). The offered
+// loads, in requests per tick, sit well under, near and well over the
+// knee of this mix (at batch 4 the engine serves roughly 0.1 req/tick);
+// a 16-token prefix fills one KV page, so prefix-aware can share it.
+constexpr double kSloLoads[] = {0.02, 0.08, 0.32};
+constexpr int kSloRequests = 24;
+constexpr int kSloGroups = 4;
+constexpr int kSloPrefix = 16;
+// The SLO the sweep is scored against, in simulated seconds: every
+// sub-knee point passes with >= 60% headroom while fifo and sjf fail at
+// the overload point (p99 TTFT 0.022 s). Re-derive after a model or
+// accelerator change: ~1.6x the mid-load p99 TTFT and ~25x the per-tick
+// step latency.
+constexpr bbal::serve::Slo kSlo{0.010, 0.005};
 
 /// True when `partial` is a (possibly complete) prefix of `full`.
 bool is_prefix(const std::vector<int>& partial, const std::vector<int>& full) {
@@ -254,7 +282,10 @@ int main(int argc, char** argv) {
                    "[--prefill-chunk N] "
                    "[--kv-format FP32|INT8|BFP<m>|BBFP(<m>,<o>)] "
                    "[--draft STRATEGY --draft-k N] "
-                   "[--fault-plan SPEC] [--preempt] [--deadline TICKS]\n");
+                   "[--fault-plan SPEC] [--preempt] [--deadline TICKS]\n"
+                   "Without --kv-format, --prefill-chunk, --draft or the "
+                   "fault flags it also records the committed KV-frontier, "
+                   "chunked-prefill, speculative and SLO sections.\n");
       return 0;
     } else if (arg.rfind("-", 0) == 0) {
       std::fprintf(stderr, "record_serve: unknown option \"%s\"\n",
@@ -284,6 +315,7 @@ int main(int argc, char** argv) {
   int frontier_prefix = 24;
   int long_prompt = 96;
   int long_every = 4;
+  int env_threads = 0;  ///< unset: the pool's default width
   const auto env = [](const char* name, int lo, int& out) {
     return tools::env_number("record_serve", name, lo, out);
   };
@@ -294,13 +326,22 @@ int main(int argc, char** argv) {
       !env("BBAL_SERVE_PREFIX", 0, prefix_len) ||
       !env("BBAL_SERVE_FRONTIER_PREFIX", 0, frontier_prefix) ||
       !env("BBAL_SERVE_LONG_PROMPT", 1, long_prompt) ||
-      !env("BBAL_SERVE_LONG_EVERY", 1, long_every))
+      !env("BBAL_SERVE_LONG_EVERY", 1, long_every) ||
+      !env("BBAL_THREADS", 1, env_threads))
     return 2;
-  // The knob must land before the first ThreadPool::global() use.
-  if (threads_flag > 0) common::ThreadPool::set_global_threads(threads_flag);
+  // --threads wins; the knob must land before the first
+  // ThreadPool::global() use.
+  const int threads = threads_flag > 0 ? threads_flag : env_threads;
+  if (threads > 0) common::ThreadPool::set_global_threads(threads);
 
   const char* model_env = std::getenv("BBAL_MODEL");
-  const std::string model_name = model_env != nullptr ? model_env : "Llama-7B";
+  const auto model =
+      llm::find_config(model_env != nullptr ? model_env : "Llama-7B");
+  if (!model.is_ok()) {
+    std::fprintf(stderr, "record_serve: %s\n", model.message().c_str());
+    return 2;
+  }
+  const std::string& model_name = model.value().name;
 
   // The serving rows of the paper's strategy space: the FP32 reference, the
   // INT8 ASIC baseline, classic BFP and the BBAL formats.
@@ -308,7 +349,7 @@ int main(int argc, char** argv) {
                                                "BBFP(4,2)", "BBFP(6,3)"};
 
   const auto wall_start = std::chrono::steady_clock::now();
-  const auto prepared = prepare_shared(model_name, eval_tokens);
+  const auto prepared = prepare_shared(model.value(), eval_tokens);
 
   // One row: serve `requests` on a fresh engine over `spec`, priced on an
   // iso-area accelerator (Fig. 8's comparison rule) when the strategy has
@@ -637,6 +678,114 @@ int main(int argc, char** argv) {
                    pair.target, pair.draft, pair.k, report->stream_hash,
                    report->acceptance_rate, report->speedup_vs_target);
       rows.push_back(report->to_json());
+    }
+  }
+
+  // The committed SLO capacity sweep: offered load x scheduler policy on
+  // the BBFP(4,2) engine, each cell one shared-prefix trace stamped with
+  // Poisson arrivals at its load (the request shapes are load-invariant;
+  // only the arrival stamps move) and scored against kSlo. The rows
+  // carry the queueing metrics, latency tails and goodput, so the sweep
+  // records the saturation knee (docs/LOADGEN.md).
+  if (committed) {
+    const auto slo_mix = [&](double load) {
+      serve::ArrivalSpec arrival;
+      arrival.kind = serve::ArrivalSpec::Kind::kPoisson;
+      arrival.rate = load;
+      arrival.seed = seed;
+      const auto entries = serve::shared_prefix_trace(
+          kSloRequests, serve::generate_arrivals(arrival, kSloRequests),
+          kSloGroups, kSloPrefix, /*suffix_len=*/4, new_tokens);
+      Mix mix;
+      mix.requests = serve::materialize_trace(prepared->config, entries, seed);
+      mix.descriptor = serve::describe_arrivals(arrival) +
+                       "+shared-prefix(n=" + std::to_string(kSloRequests) +
+                       ",groups=" + std::to_string(kSloGroups) +
+                       ",prefix=" + std::to_string(kSloPrefix) + ")";
+      return mix;
+    };
+    std::fprintf(stderr,
+                 "SLO sweep: %zu loads x %zu policies, %d requests, SLO "
+                 "ttft<=%.3gs itl<=%.3gs\n",
+                 std::size(kSloLoads), serve::policy_names().size(),
+                 kSloRequests, kSlo.ttft_seconds, kSlo.inter_token_seconds);
+    // The last load's prefix-aware cell: the overload cell the pair
+    // below re-serves.
+    std::optional<serve::Report> overload;
+    for (const double load : kSloLoads) {
+      const Mix mix = slo_mix(load);
+      for (const std::string& policy : serve::policy_names()) {
+        serve::Engine::Options options;
+        options.max_batch = max_batch;
+        options.policy = policy;
+        options.slo = kSlo;
+        char label[64];
+        std::snprintf(label, sizeof(label), "%s @ %.3g", policy.c_str(), load);
+        auto report = serve_row(label, bbfp42, std::move(options),
+                                mix.requests, /*require_complete=*/true);
+        if (!report) return 1;
+        report->workload = mix.descriptor;
+        std::fprintf(stderr,
+                     "  load %.3g %-12s p99 ttft %.4gs, queue p99 %.4g "
+                     "ticks, goodput %.3f, hash %u\n",
+                     load, policy.c_str(), report->p99_ttft_seconds,
+                     report->queue_delay_p99_ticks, report->goodput_under_slo,
+                     report->stream_hash);
+        rows.push_back(report->to_json());
+        if (policy == "prefix-aware") overload = std::move(report);
+      }
+    }
+
+    // The committed preemption pair: the overload cell (top load,
+    // prefix-aware) re-served under a mid-run pool-exhaustion window
+    // [40, 70) — past the first admissions, and wide enough that whole
+    // batches cross a page boundary inside it — once with preemption off
+    // and once with it on. Off, every decode flight that crosses a page
+    // boundary inside the window retires with a typed `oom`; on, the
+    // scheduler suspends the crossers, waits out the window and resumes
+    // them. The pair is scored against a degraded-mode SLO, 10x kSlo: a
+    // resumed request's inter-token gap includes its suspension, so the
+    // steady-state SLO would score a rescued request and a dead one alike
+    // ("late beats never" is what preemption is for). Both rows must
+    // agree with the fault-free overload cell under the sibling rule, and
+    // goodput with preemption must STRICTLY exceed goodput without.
+    const Mix top = slo_mix(kSloLoads[std::size(kSloLoads) - 1]);
+    const auto plan =
+        serve::parse_fault_plan("exhaust@40..70").expect("fault plan");
+    double goodput[2] = {0.0, 0.0};
+    for (const bool preempt_on : {false, true}) {
+      const std::string label = preempt_on ? "preempt=on" : "preempt=off";
+      serve::Engine::Options options;
+      options.max_batch = max_batch;
+      options.policy = "prefix-aware";
+      options.slo = serve::Slo{10.0 * kSlo.ttft_seconds,
+                               10.0 * kSlo.inter_token_seconds};
+      options.faults = plan;
+      options.preempt = preempt_on;
+      auto report = serve_row(label, bbfp42, std::move(options), top.requests,
+                              /*require_complete=*/false);
+      if (!report || !chaos_rows_agree(label.c_str(), *report, *overload))
+        return 1;
+      report->workload =
+          top.descriptor + "+faults(" + plan.describe() + ")+" + label;
+      goodput[preempt_on ? 1 : 0] = report->goodput_under_slo;
+      std::fprintf(stderr,
+                   "  %-11s %lld/%lld completed, %lld oom, %lld preempted "
+                   "%lld resumed, goodput %.3f, hash %u\n",
+                   label.c_str(), static_cast<long long>(report->completed),
+                   static_cast<long long>(report->requests),
+                   static_cast<long long>(report->oom_failures),
+                   static_cast<long long>(report->preemptions),
+                   static_cast<long long>(report->resumes),
+                   report->goodput_under_slo, report->stream_hash);
+      rows.push_back(report->to_json());
+    }
+    if (goodput[1] <= goodput[0]) {
+      std::fprintf(stderr,
+                   "preemption pair: goodput with preemption (%.3f) must "
+                   "STRICTLY exceed goodput without (%.3f)\n",
+                   goodput[1], goodput[0]);
+      return 1;
     }
   }
   const double wall_seconds =

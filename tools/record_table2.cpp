@@ -5,12 +5,13 @@
 // thread count; only wall-clock metadata may drift.
 //
 // Output shape: {"meta": {...sweep stats...}, "rows": [...one object per
-// strategy...]}. bench_compare also accepts the legacy bare-array shape.
+// strategy...]}, the shape bench_compare reads.
 //
 // Usage: ./build/tools/record_table2 [out.json] [--threads N]
 // Env:   BBAL_MODEL (default Llama-7B), BBAL_EVAL_TOKENS (default 256),
-//        BBAL_THREADS (default hardware_concurrency; --threads wins). A
-//        BBAL_EVAL_TOKENS that is not one whole number >= 2 exits 2.
+//        BBAL_THREADS (default hardware_concurrency; --threads wins). An
+//        unknown model, a BBAL_EVAL_TOKENS that is not one whole number
+//        >= 2 or a BBAL_THREADS that is not one >= 1 exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -20,6 +21,7 @@
 #include "bbal/registry.hpp"
 #include "bbal/sweep.hpp"
 #include "common/threadpool.hpp"
+#include "llm/model.hpp"
 #include "parse_number.hpp"
 
 int main(int argc, char** argv) {
@@ -60,13 +62,22 @@ int main(int argc, char** argv) {
   }
   // sample_stream draws at least two eval tokens.
   int eval_tokens = 256;
-  if (!tools::env_number("record_table2", "BBAL_EVAL_TOKENS", 2, eval_tokens))
+  int env_threads = 0;  ///< unset: the pool's default width
+  if (!tools::env_number("record_table2", "BBAL_EVAL_TOKENS", 2,
+                         eval_tokens) ||
+      !tools::env_number("record_table2", "BBAL_THREADS", 1, env_threads))
     return 2;
-  // The knob must land before the first ThreadPool::global() use.
-  if (threads_flag > 0) common::ThreadPool::set_global_threads(threads_flag);
+  // --threads wins; the knob must land before the first
+  // ThreadPool::global() use.
+  const int threads = threads_flag > 0 ? threads_flag : env_threads;
+  if (threads > 0) common::ThreadPool::set_global_threads(threads);
 
   const char* model_env = std::getenv("BBAL_MODEL");
   const std::string model_name = model_env != nullptr ? model_env : "Llama-7B";
+  if (const auto model = llm::find_config(model_name); !model.is_ok()) {
+    std::fprintf(stderr, "record_table2: %s\n", model.message().c_str());
+    return 2;
+  }
 
   SweepRunner sweep;
   sweep.eval_tokens(eval_tokens);
