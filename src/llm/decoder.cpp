@@ -6,16 +6,11 @@
 
 namespace bbal::llm {
 
-Decoder::Decoder(Transformer& model)
-    : model_(model), cache_(model.config().n_layers) {}
-
-void Decoder::reset() { cache_.clear(); }
+Decoder::Decoder(Transformer& model) : model_(model) {}
 
 KVCache Decoder::make_cache() const {
   return KVCache(model_.config().n_layers);
 }
-
-std::vector<float> Decoder::step(int token) { return step(token, cache_); }
 
 std::vector<float> Decoder::step(int token, KVCacheView& view) {
   // A batch of one: the single-request path shares the fused datapath
@@ -39,21 +34,11 @@ void Decoder::step_batch(std::span<const int> tokens,
               logits_out);
 }
 
-void Decoder::prefill_chunk(std::span<const int> tokens, KVCacheView& view,
-                            Matrix& logits_out) {
-  KVCacheView* views[1] = {&view};
-  const int count = static_cast<int>(tokens.size());
-  step_groups(tokens, std::span<KVCacheView* const>(views, 1),
-              std::span<const int>(&count, 1), logits_out);
-}
-
 void Decoder::step_groups(std::span<const int> tokens,
                           std::span<KVCacheView* const> views,
                           std::span<const int> counts, Matrix& logits_out,
                           LogitsMode mode) {
   const ModelConfig& cfg = model_.config();
-  const TransformerWeights& w = model_.weights();
-  MatmulBackend& mm = model_.matmul_backend();
   NonlinearBackend& nl = model_.nonlinear_backend();
   assert(counts.size() == views.size());
   const int groups = static_cast<int>(views.size());
@@ -61,58 +46,37 @@ void Decoder::step_groups(std::span<const int> tokens,
     logits_out.resize(0, cfg.vocab);
     return;
   }
-  int batch = 0;
-  for (const int count : counts) {
-    assert(count >= 1);
-    batch += count;
-  }
-  assert(static_cast<int>(tokens.size()) == batch);
+  const int batch = static_cast<int>(tokens.size());
 
   const int d = cfg.d_model;
   const int heads = cfg.n_heads;
   const int dh = cfg.head_dim();
   const float inv_sqrt = static_cast<float>(cfg.attention_score_scale) /
                          std::sqrt(static_cast<float>(dh));
-  const float emb_scale = 1.0f / std::sqrt(static_cast<float>(d));
 
   // x: stacked hidden states, one row per new position, so the quantising
   // backends see one (batch x d_model) activation matrix per projection —
   // decode rows and prefill-chunk rows alike.
-  ws_.x.resize(batch, d);
-  ws_.pos.resize(static_cast<std::size_t>(batch));
-  for (int g = 0, r = 0; g < groups; ++g) {
+  model_.embed(tokens, ws_.x);
+  ws_.pos.clear();
+  for (int g = 0; g < groups; ++g) {
     assert(views[static_cast<std::size_t>(g)] != nullptr);
+    assert(counts[static_cast<std::size_t>(g)] >= 1);
     // The first position this step writes for group g; the group's row i
     // lands at base + i (KVCacheView protocol), so length() is read once.
     const int base = views[static_cast<std::size_t>(g)]->length();
-    for (int i = 0; i < counts[static_cast<std::size_t>(g)]; ++i, ++r) {
-      const int token = tokens[static_cast<std::size_t>(r)];
-      assert(token >= 0 && token < cfg.vocab);
-      const std::span<const float> emb = w.embedding.row(token);
-      const std::span<float> row = ws_.x.row(r);
-      for (int c = 0; c < d; ++c)
-        row[static_cast<std::size_t>(c)] =
-            emb[static_cast<std::size_t>(c)] * emb_scale;
-      ws_.pos[static_cast<std::size_t>(r)] = base + i;
-    }
+    for (int i = 0; i < counts[static_cast<std::size_t>(g)]; ++i)
+      ws_.pos.push_back(base + i);
   }
+  assert(ws_.pos.size() == tokens.size());
 
   for (int l = 0; l < cfg.n_layers; ++l) {
-    const LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
-    const Transformer::LayerHandles& h =
-        model_.layer_handles()[static_cast<std::size_t>(l)];
-
-    // --- Attention ---
-    ws_.normed = ws_.x;
-    rmsnorm_rows(ws_.normed, lw.attn_norm_gain);
-    mm.matmul(ws_.normed, h.wq, ws_.q);
-    mm.matmul(ws_.normed, h.wk, ws_.k);
-    mm.matmul(ws_.normed, h.wv, ws_.v);
+    model_.project_qkv(l, ws_.x, ws_.qkv);
     for (int g = 0, r = 0; g < groups; ++g)
       for (int i = 0; i < counts[static_cast<std::size_t>(g)]; ++i, ++r)
         views[static_cast<std::size_t>(g)]->append(
-            l, ws_.pos[static_cast<std::size_t>(r)], ws_.k.row(r),
-            ws_.v.row(r));
+            l, ws_.pos[static_cast<std::size_t>(r)], ws_.qkv.k.row(r),
+            ws_.qkv.v.row(r));
 
     // Per-row attention over each row's own (ragged, causal) context: a
     // decode row attends over its whole sequence, row i of a prefill
@@ -145,7 +109,7 @@ void Decoder::step_groups(std::span<const int> tokens,
             const std::span<const float> krow =
                 ws_.krows[static_cast<std::size_t>(p)];
             for (int j = 0; j < dh; ++j)
-              acc += static_cast<double>(ws_.q.at(r, off + j)) *
+              acc += static_cast<double>(ws_.qkv.q.at(r, off + j)) *
                      krow[static_cast<std::size_t>(off + j)];
             scores[static_cast<std::size_t>(p)] =
                 static_cast<float>(acc) * inv_sqrt;
@@ -162,23 +126,8 @@ void Decoder::step_groups(std::span<const int> tokens,
         }
       }
     }
-    mm.matmul(ws_.context, h.wo, ws_.attn_out);
-    const auto branch = static_cast<float>(cfg.residual_branch_scale);
-    for (float& vv : ws_.attn_out.flat()) vv *= branch;
-    add_inplace(ws_.x, ws_.attn_out);
-
-    // --- MLP ---
-    ws_.normed = ws_.x;
-    rmsnorm_rows(ws_.normed, lw.mlp_norm_gain);
-    mm.matmul(ws_.normed, h.w_gate, ws_.gate);
-    mm.matmul(ws_.normed, h.w_up, ws_.up);
-    for (int r = 0; r < batch; ++r) nl.silu(ws_.gate.row(r));
-    const std::span<float> g = ws_.gate.flat();
-    const std::span<const float> u = ws_.up.flat();
-    for (std::size_t i = 0; i < g.size(); ++i) g[i] *= u[i];
-    mm.matmul(ws_.gate, h.w_down, ws_.down);
-    for (float& vv : ws_.down.flat()) vv *= branch;
-    add_inplace(ws_.x, ws_.down);
+    model_.add_attention(l, ws_.context, ws_.x, ws_.attn_out);
+    model_.add_mlp(l, ws_.x, ws_.mlp);
   }
 
   // LM head. Default mode gathers each group's LAST row only: mid-chunk
@@ -205,10 +154,7 @@ void Decoder::step_groups(std::span<const int> tokens,
       ++r;
     }
   }
-  rmsnorm_rows(ws_.last, w.final_norm_gain);
-  mm.matmul(ws_.last, model_.lm_head_handle(), logits_out);
-  const float scale = model_.logit_scale();
-  for (float& vv : logits_out.flat()) vv *= scale;
+  model_.lm_head(ws_.last, logits_out);
 }
 
 }  // namespace bbal::llm

@@ -3,14 +3,16 @@
 // decode-phase runtime study (Fig. 1b workload shapes) and to execute the
 // per-request forward steps of the serving engine (serve::Engine).
 //
-// Attention state is accessed through KVCacheView, so the same step
-// arithmetic runs over any storage layout: the classic contiguous KVCache
-// value type below (decoder-owned for step(token), caller-owned for
-// step(token, cache)) or the serving engine's block-paged pool
-// (serve::PagedKVPool), whose pages are shared across requests with a
-// common prompt prefix. With FP32 pages the step reads identical floats in
-// identical order through either view, so the two layouts are
-// bit-identical by construction (tested in test_paged_kv).
+// A step runs the Transformer's layer body (embed, project_qkv,
+// add_attention, add_mlp, lm_head) — the same calls, in the same order,
+// as Transformer::forward — around its own attention core: each new row
+// attends over its sequence's cached K/V rows, read through a
+// KVCacheView. So the same step arithmetic runs over any storage layout:
+// the contiguous KVCache value type below (make_cache()) or the serving
+// engine's block-paged pool (serve::PagedKVPool), whose pages are shared
+// across requests with a common prompt prefix. With FP32 pages the step
+// reads identical floats in identical order through either view, so the
+// two layouts are bit-identical by construction (tested in test_paged_kv).
 #pragma once
 
 #include <cassert>
@@ -72,11 +74,6 @@ struct KVCache final : KVCacheView {
   [[nodiscard]] int length() const override {
     return k.empty() ? 0 : static_cast<int>(k.front().size());
   }
-  /// Drop all cached positions but keep the per-layer structure.
-  void clear() {
-    for (auto& layer : k) layer.clear();
-    for (auto& layer : v) layer.clear();
-  }
 
   void append(int layer, int pos, std::span<const float> k_row,
               std::span<const float> v_row) override {
@@ -105,18 +102,12 @@ class Decoder {
   /// Borrows the transformer (weights + backends) for its lifetime.
   explicit Decoder(Transformer& model);
 
-  /// Clear the decoder-owned KV cache.
-  void reset();
-
-  /// Feed one token into the decoder-owned cache; returns the logits for
-  /// the next-token distribution.
-  [[nodiscard]] std::vector<float> step(int token);
-
-  /// Feed one token through a caller-owned cache view: a KVCache from
-  /// make_cache() or a serving pool's view. The view must hold state of a
-  /// model with this decoder's layer count and d_model, and must have
-  /// capacity for one more position. Both step() overloads run this
-  /// arithmetic and are bit-identical at the same context.
+  /// Feed one token through a cache view — a KVCache from make_cache() or
+  /// a serving pool's view — and return the logits for the next-token
+  /// distribution. The view must hold state of a model with this
+  /// decoder's layer count and d_model, and must have capacity for one
+  /// more position. A decoder keeps no attention state of its own, so one
+  /// decoder serves any number of caches.
   [[nodiscard]] std::vector<float> step(int token, KVCacheView& view);
 
   /// Fused batched step: advance tokens.size() independent sequences by
@@ -183,41 +174,29 @@ class Decoder {
                    std::span<const int> counts, Matrix& logits_out,
                    LogitsMode mode = LogitsMode::kLastPerGroup);
 
-  /// Chunked prefill of one sequence: feed tokens.size() prompt tokens
-  /// through `view` in one grouped step — one (chunk x d_model) GEMM per
-  /// projection instead of chunk M=1 steps. logits_out gets one row: the
-  /// logits after the final token of the chunk.
-  void prefill_chunk(std::span<const int> tokens, KVCacheView& view,
-                     Matrix& logits_out);
-
   /// A fresh, empty cache sized for this decoder's model.
   [[nodiscard]] KVCache make_cache() const;
 
-  /// Current context length of the decoder-owned cache.
-  [[nodiscard]] int context_length() const { return cache_.length(); }
-
  private:
-  /// Per-layer scratch reused across step_batch calls (and by the
-  /// single-token step() overloads, which run as a batch of one): after
-  /// the first call at a given batch size and context, these buffers are
-  /// not reallocated.
+  /// Per-layer scratch reused across step_groups calls (and by step(),
+  /// which runs as a batch of one): after the first call at a given batch
+  /// size and context, these buffers are not reallocated.
   struct BatchWorkspace {
-    Matrix x;         ///< running hidden state, batch x d_model
-    Matrix normed;    ///< RMSNorm input copy (attention + MLP)
-    Matrix q, k, v;   ///< QKV projections, batch x d_model
-    Matrix context;   ///< attention mix, batch x d_model
-    Matrix attn_out;  ///< output projection
-    Matrix gate, up, down;  ///< FFN activations
-    Matrix logits;    ///< single-step logits (step() overloads)
-    Matrix last;      ///< gathered per-group last rows (LM head input)
-    std::vector<int> pos;  ///< per-row write position, read pre-append
-    std::vector<int> ones;  ///< all-ones counts (step_batch forwarding)
-    std::vector<std::span<const float>> krows, vrows;  ///< hoisted rows
-    std::vector<float> scores;  ///< per-head attention scores
+    Matrix x;                     ///< running hidden state, batch x d_model
+    Transformer::QkvScratch qkv;  ///< normed input and its Q, K, V
+    Matrix context;               ///< attention mix, batch x d_model
+    Matrix attn_out;              ///< output projection
+    Transformer::MlpScratch mlp;  ///< MLP activations
+    Matrix logits;                ///< step()'s logits
+    Matrix last;                  ///< gathered LM-head input rows
+    std::vector<int> pos;         ///< per-row write position
+    std::vector<int> ones;        ///< all-ones counts (step_batch)
+    std::vector<float> scores;    ///< per-head attention scores
+    /// K/V rows of the row being attended, hoisted per position.
+    std::vector<std::span<const float>> krows, vrows;
   };
 
   Transformer& model_;
-  KVCache cache_;
   BatchWorkspace ws_;
 };
 

@@ -13,12 +13,13 @@ std::vector<int> sample_stream(Transformer& model, int length,
   assert(length >= 2);
   Rng rng(seed);
   Decoder decoder(model);
+  KVCache cache = decoder.make_cache();
   std::vector<int> tokens;
   tokens.reserve(static_cast<std::size_t>(length));
   int token = static_cast<int>(rng.uniform_int(0, model.config().vocab - 1));
   tokens.push_back(token);
   for (int t = 1; t < length; ++t) {
-    std::vector<float> logits = decoder.step(token);
+    std::vector<float> logits = decoder.step(token, cache);
     // Sample from softmax(logits).
     float mx = logits[0];
     for (const float v : logits) mx = std::max(mx, v);

@@ -32,26 +32,77 @@ Transformer::Transformer(const ModelConfig& config,
   lm_head_handle_ = matmul_.prepare_weights(weights.lm_head, "lm_head");
 }
 
-void Transformer::attention(Matrix& x, int layer) {
-  const int t = x.rows();
+namespace {
+
+/// x += scale * branch: a residual branch joins the stream.
+void add_branch(Matrix& x, Matrix& branch, double scale) {
+  const auto s = static_cast<float>(scale);
+  for (float& v : branch.flat()) v *= s;
+  add_inplace(x, branch);
+}
+
+}  // namespace
+
+void Transformer::embed(std::span<const int> tokens, Matrix& x) const {
   const int d = config_.d_model;
+  const float emb_scale = 1.0f / std::sqrt(static_cast<float>(d));
+  x.resize(static_cast<int>(tokens.size()), d);
+  for (int i = 0; i < x.rows(); ++i) {
+    const int token = tokens[static_cast<std::size_t>(i)];
+    assert(token >= 0 && token < config_.vocab);
+    const std::span<const float> emb = weights_.embedding.row(token);
+    const std::span<float> row = x.row(i);
+    for (int c = 0; c < d; ++c)
+      row[static_cast<std::size_t>(c)] =
+          emb[static_cast<std::size_t>(c)] * emb_scale;
+  }
+}
+
+void Transformer::project_qkv(int l, const Matrix& x, QkvScratch& s) {
+  const LayerHandles& h = handles_[static_cast<std::size_t>(l)];
+  s.normed = x;
+  rmsnorm_rows(s.normed,
+               weights_.layers[static_cast<std::size_t>(l)].attn_norm_gain);
+  matmul_.matmul(s.normed, h.wq, s.q);
+  matmul_.matmul(s.normed, h.wk, s.k);
+  matmul_.matmul(s.normed, h.wv, s.v);
+}
+
+void Transformer::add_attention(int l, const Matrix& context, Matrix& x,
+                                Matrix& out) {
+  matmul_.matmul(context, handles_[static_cast<std::size_t>(l)].wo, out);
+  add_branch(x, out, config_.residual_branch_scale);
+}
+
+void Transformer::add_mlp(int l, Matrix& x, MlpScratch& s) {
+  const LayerHandles& h = handles_[static_cast<std::size_t>(l)];
+  s.normed = x;
+  rmsnorm_rows(s.normed,
+               weights_.layers[static_cast<std::size_t>(l)].mlp_norm_gain);
+  matmul_.matmul(s.normed, h.w_gate, s.gate);
+  matmul_.matmul(s.normed, h.w_up, s.up);
+  for (int r = 0; r < s.gate.rows(); ++r) nonlinear_.silu(s.gate.row(r));
+  const std::span<float> g = s.gate.flat();
+  const std::span<const float> u = s.up.flat();
+  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= u[i];
+  matmul_.matmul(s.gate, h.w_down, s.down);
+  add_branch(x, s.down, config_.residual_branch_scale);
+}
+
+void Transformer::lm_head(Matrix& rows, Matrix& logits) {
+  rmsnorm_rows(rows, weights_.final_norm_gain);
+  matmul_.matmul(rows, lm_head_handle_, logits);
+  for (float& v : logits.flat()) v *= logit_scale_;
+}
+
+void Transformer::attend(const QkvScratch& s, Matrix& context) {
+  const int t = s.q.rows();
   const int heads = config_.n_heads;
   const int dh = config_.head_dim();
-  const LayerWeights& lw = weights_.layers[static_cast<std::size_t>(layer)];
-  const LayerHandles& h = handles_[static_cast<std::size_t>(layer)];
-
-  Matrix normed = x;
-  rmsnorm_rows(normed, lw.attn_norm_gain);
-
-  Matrix q, k, v;
-  matmul_.matmul(normed, h.wq, q);
-  matmul_.matmul(normed, h.wk, k);
-  matmul_.matmul(normed, h.wv, v);
-
   const float inv_sqrt =
       static_cast<float>(config_.attention_score_scale) /
       std::sqrt(static_cast<float>(dh));
-  Matrix context(t, d);
+  context.resize(t, config_.d_model);
 
   // Per-head attention. Scores/context products are activation-activation
   // GEMMs and go through matmul_dynamic (FP32 under every strategy), where
@@ -67,9 +118,9 @@ void Transformer::attention(Matrix& x, int layer) {
     const int off = head * dh;
     for (int i = 0; i < t; ++i)
       for (int j = 0; j < dh; ++j) {
-        qh.at(i, j) = q.at(i, off + j) * inv_sqrt;
-        kh_t.at(j, i) = k.at(i, off + j);
-        vh.at(i, j) = v.at(i, off + j);
+        qh.at(i, j) = s.q.at(i, off + j) * inv_sqrt;
+        kh_t.at(j, i) = s.k.at(i, off + j);
+        vh.at(i, j) = s.v.at(i, off + j);
       }
     Matrix scores;
     matmul_.matmul_dynamic(qh, kh_t, scores);  // t x t
@@ -84,62 +135,28 @@ void Transformer::attention(Matrix& x, int layer) {
     for (int i = 0; i < t; ++i)
       for (int j = 0; j < dh; ++j) context.at(i, off + j) = ctx.at(i, j);
   }
-
-  Matrix out;
-  matmul_.matmul(context, h.wo, out);
-  const auto branch = static_cast<float>(config_.residual_branch_scale);
-  for (float& v : out.flat()) v *= branch;
-  add_inplace(x, out);
-}
-
-void Transformer::mlp(Matrix& x, int layer) {
-  const LayerWeights& lw = weights_.layers[static_cast<std::size_t>(layer)];
-  const LayerHandles& h = handles_[static_cast<std::size_t>(layer)];
-
-  Matrix normed = x;
-  rmsnorm_rows(normed, lw.mlp_norm_gain);
-
-  Matrix gate, up;
-  matmul_.matmul(normed, h.w_gate, gate);
-  matmul_.matmul(normed, h.w_up, up);
-  for (int r = 0; r < gate.rows(); ++r) nonlinear_.silu(gate.row(r));
-  const std::span<float> g = gate.flat();
-  const std::span<const float> u = up.flat();
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= u[i];
-
-  Matrix down;
-  matmul_.matmul(gate, h.w_down, down);
-  const auto branch = static_cast<float>(config_.residual_branch_scale);
-  for (float& v : down.flat()) v *= branch;
-  add_inplace(x, down);
 }
 
 Matrix Transformer::forward(std::span<const int> tokens) {
-  const int t = static_cast<int>(tokens.size());
-  assert(t > 0);
-  Matrix x(t, config_.d_model);
-  const float emb_scale = 1.0f / std::sqrt(static_cast<float>(config_.d_model));
-  for (int i = 0; i < t; ++i) {
-    assert(tokens[static_cast<std::size_t>(i)] >= 0 &&
-           tokens[static_cast<std::size_t>(i)] < config_.vocab);
-    const std::span<const float> emb =
-        weights_.embedding.row(tokens[static_cast<std::size_t>(i)]);
-    const std::span<float> row = x.row(i);
-    for (int c = 0; c < config_.d_model; ++c)
-      row[static_cast<std::size_t>(c)] =
-          emb[static_cast<std::size_t>(c)] * emb_scale;
-  }
-
+  assert(!tokens.empty());
+  Matrix x;
+  embed(tokens, x);
   for (int l = 0; l < config_.n_layers; ++l) {
-    attention(x, l);
-    mlp(x, l);
+    {
+      // Attention's buffers are freed before the MLP's are allocated, so a
+      // long sequence holds one phase's (t x d_model) or (t x d_ff)
+      // matrices at a time.
+      QkvScratch qkv;
+      project_qkv(l, x, qkv);
+      Matrix context, out;
+      attend(qkv, context);
+      add_attention(l, context, x, out);
+    }
+    MlpScratch mlp;
+    add_mlp(l, x, mlp);
   }
-
-  rmsnorm_rows(x, weights_.final_norm_gain);
   Matrix logits;
-  matmul_.matmul(x, lm_head_handle_, logits);
-  const std::span<float> ls = logits.flat();
-  for (float& v : ls) v *= logit_scale_;
+  lm_head(x, logits);
   return logits;
 }
 

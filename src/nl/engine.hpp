@@ -27,10 +27,6 @@ namespace bbal::nl {
 /// LUT address width of the paper's unit: 7 bits, 128 entries a sub-table.
 inline constexpr int kLutAddressBits = 7;
 
-/// Scalar function identities the unit can compute (the Control Unit's
-/// opcode space; "SILU and so on" in Table V).
-enum class NlFunction { kSoftmax, kSilu, kGelu, kSigmoid, kExp };
-
 /// Usage counters: LUT traffic and distinct sub-tables touched, for the
 /// cost model and the segmented-loading story.
 struct NlUsageStats {

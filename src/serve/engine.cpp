@@ -1,7 +1,6 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <utility>
 
@@ -23,12 +22,6 @@ void fnv32_mix(std::uint32_t& hash, std::uint32_t value) {
   }
 }
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// What outlives an admission, per request. The RequestResult records
 /// TTFT, the largest inter-token gap and the step count as they happen;
 /// this holds the rest of what a suspension must carry across the gap.
@@ -41,10 +34,9 @@ struct RequestState {
   std::vector<int> continuation;
   std::int64_t suspended_at = -1;  ///< suspension clock; -1 = not suspended
   std::int64_t cancel_at = -1;     ///< earliest planned cancellation tick
-  /// Both clocks at the arrival instant, so TTFT and total latency stay
-  /// arrival-relative — the client-visible metrics.
+  /// Simulated clock at the arrival instant, so TTFT and total latency
+  /// stay arrival-relative — the client-visible metrics.
   double arrival_seconds = 0.0;
-  double arrival_wall = 0.0;
   /// Simulated clock at the previous token emission (inter-token gaps).
   double last_emit_seconds = 0.0;
   bool registered = false;  ///< prompt prefix registered in the pool
@@ -311,8 +303,6 @@ struct Engine::Run {
   /// traffic pricing.
   const std::int64_t token_kv_bytes =
       static_cast<std::int64_t>(cfg.n_layers) * 2 * kv.encoded_row_bytes();
-  const std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
 
   // --- Open-loop clock and scheduling state ---
   // One executed tick advances the clock by one; an engine with nothing
@@ -557,7 +547,6 @@ struct Engine::Run {
     out.reason = reason;
     out.error = std::move(error);
     out.total_seconds = sim_makespan - state[index].arrival_seconds;
-    out.wall_seconds = seconds_since(start) - state[index].arrival_wall;
     if (reason == FinishReason::kCancelled) ++report.cancellations;
     if (reason == FinishReason::kTimeout) ++report.timeouts;
     if (reason == FinishReason::kOom ||
@@ -662,7 +651,6 @@ struct Engine::Run {
            requests[arrivals[next_arrival]].arrival_tick <= clock) {
       const std::size_t index = arrivals[next_arrival++];
       state[index].arrival_seconds = sim_makespan;
-      state[index].arrival_wall = seconds_since(start);
       waiting.push_back(index);
     }
     if (report.has_faults) {
@@ -1085,7 +1073,6 @@ struct Engine::Run {
       target_equiv_seconds +=
           accel::simulate_workload(*opt.accelerator, equiv_workload).seconds;
     }
-    const double wall_now = seconds_since(start);
     // What per-request contiguous caches would hold right now.
     std::int64_t contiguous_tokens = 0;
     for (const InFlight& flight : active)
@@ -1109,7 +1096,6 @@ struct Engine::Run {
         token_latencies.push_back(tick_seconds);
         if (emitted_before + static_cast<std::size_t>(t) == 0) {
           out.ttft_seconds = sim_makespan - s.arrival_seconds;
-          out.ttft_wall_seconds = wall_now - s.arrival_wall;
         } else {
           const double gap = sim_makespan - s.last_emit_seconds;
           inter_token_gaps.push_back(gap);
@@ -1141,7 +1127,6 @@ struct Engine::Run {
 
   /// The run's aggregates, once the loop has drained.
   Report finish() {
-    report.wall_seconds = seconds_since(start);
     report.clock_ticks = clock;
 
     // --- Paged-KV aggregates ---

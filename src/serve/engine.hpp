@@ -105,7 +105,7 @@ class Engine {
     /// Accelerator pricing each tick's workload; create() rebinds its PE
     /// design to the engine's matmul strategy through accel::with_strategy
     /// (Session's rule).
-    /// Without it the report carries token streams and wall-clock only.
+    /// Without it the report carries no simulated timing (has_cost false).
     std::optional<accel::AcceleratorConfig> accelerator;
     /// Admission/scheduling policy: "fifo" (default), "sjf" or
     /// "prefix-aware" (which also enables prompt-prefix page sharing).

@@ -166,8 +166,6 @@ class PagedKVPool {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] int page_tokens() const { return options_.page_tokens; }
   [[nodiscard]] int max_pages() const { return options_.max_pages; }
-  /// The row codec every page stores through.
-  [[nodiscard]] const quant::KvPageCodec& codec() const { return codec_; }
   /// Packed bytes one K or V row is priced at (d_model floats encoded).
   [[nodiscard]] std::int64_t encoded_row_bytes() const {
     return static_cast<std::int64_t>(codec_.encoded_row_bytes());
@@ -175,9 +173,6 @@ class PagedKVPool {
   /// *Packed* bytes of K+V payload one page is priced at
   /// (layers * slots * 2 * encoded_row_bytes).
   [[nodiscard]] std::int64_t page_bytes() const;
-  [[nodiscard]] std::int64_t bytes_in_use() const {
-    return static_cast<std::int64_t>(stats_.pages_in_use) * page_bytes();
-  }
   [[nodiscard]] std::int64_t bytes_peak() const {
     return static_cast<std::int64_t>(stats_.pages_in_use_peak) * page_bytes();
   }

@@ -2,14 +2,12 @@
 // client submits, what it gets back per request, and the aggregate report
 // the benchmarks and the CI serving gate consume.
 //
-// Two clocks run through every metric:
-//  - *Simulated* seconds come from replaying each engine step's GEMM
-//    workload on the cycle-level accelerator model (accel::simulate_
-//    workload), exactly like Session's cost half. They are deterministic —
-//    bit-identical across hosts and thread counts — which is what lets
-//    BENCH_serve.json gate TTFT/latency percentiles in CI.
-//  - *Wall* seconds are host wall-clock, reported for operators but kept
-//    out of the gated report rows (machine-dependent).
+// Every time in these types is *simulated*: seconds from replaying each
+// engine step's GEMM workload on the cycle-level accelerator model
+// (accel::simulate_workload), exactly like Session's cost half. They are
+// deterministic — bit-identical across hosts and thread counts — which is
+// what lets BENCH_serve.json gate TTFT/latency percentiles in CI. Host
+// time is perfbench's to measure (docs/SERVING.md).
 #pragma once
 
 #include <cstdint>
@@ -56,7 +54,7 @@ enum class FinishReason {
 [[nodiscard]] const char* finish_reason_name(FinishReason reason);
 
 /// Per-request outcome. Timing fields are populated when the engine has an
-/// accelerator attached (has_cost in the report); wall fields always.
+/// accelerator attached (has_cost in the report).
 struct RequestResult {
   std::uint64_t id = 0;  ///< submit() order, starting at 0
   bool ok = false;
@@ -105,16 +103,12 @@ struct RequestResult {
   double total_seconds = 0.0;
   /// generated / total_seconds (0 when no accelerator is attached).
   double tokens_per_second = 0.0;
-  /// Host wall-clock from arrival until the first generated token.
-  double ttft_wall_seconds = 0.0;
-  /// Host wall-clock from arrival until completion.
-  double wall_seconds = 0.0;
 };
 
 /// Aggregate serving metrics over one Engine::run(). to_json() emits one
 /// flat object — a BENCH_serve.json row — containing only deterministic
-/// fields (token counts, stream hash, simulated rates); wall-clock stays
-/// in the recorder's meta block.
+/// fields (token counts, stream hash, simulated rates); the recorder's
+/// own host timer stays in its meta block.
 struct Report {
   std::string model;
   std::string matmul;
@@ -280,8 +274,6 @@ struct Report {
   /// KV-cache SRAM access energy (hw::sram over the pool's footprint),
   /// already included in energy_j.
   double kv_energy_j = 0.0;
-
-  double wall_seconds = 0.0;  ///< host wall-clock of run(); never gated
 
   /// Flat JSON row for tools/record_serve; deterministic fields only.
   [[nodiscard]] std::string to_json() const;

@@ -157,7 +157,9 @@ TEST(AllocFree, WarmPagedStepAllocatesNothing) {
   ASSERT_TRUE(pool.reserve(leader, 9).is_ok());
   serve::PagedKVView leader_view(pool, leader);
   llm::Matrix logits;
-  decoder.prefill_chunk(prompt, leader_view, logits);
+  llm::KVCacheView* leader_views[] = {&leader_view};
+  const int leader_counts[] = {9};
+  decoder.step_groups(prompt, leader_views, leader_counts, logits);
   pool.register_prefix(leader, prompt);
 
   // One pass over two fresh sequences: a follower attached to the prefix

@@ -1,10 +1,8 @@
-// llm::Decoder: reset() really clears the attention state, stepping after
-// a reset is bit-identical to a fresh decoder, the engine-owned KVCache
-// path (step(token, cache)) reproduces the owned-cache path, and the
-// fused batch path (step_batch) is bit-identical to independent step()
-// calls — across quantised strategies, thread counts, ragged batches and
-// mid-run retirement/back-fill: the contract the serving engine's single
-// shared pipeline rests on.
+// llm::Decoder: one decoder serves interleaved caches, and the fused batch
+// path (step_batch) and grouped path (step_groups) are bit-identical to
+// independent step() calls — across quantised strategies, thread counts,
+// ragged batches, chunked prefill and mid-run retirement/back-fill: the
+// contract the serving engine's single shared pipeline rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,55 +42,6 @@ struct Fixture {
 
 const std::vector<int> kTokens = {3, 17, 42, 9, 9, 60, 1};
 
-TEST(Decoder, ResetClearsState) {
-  Fixture f;
-  Transformer model(f.config, f.weights, f.mm, f.nl);
-  Decoder decoder(model);
-  for (const int t : kTokens) (void)decoder.step(t);
-  EXPECT_EQ(decoder.context_length(), static_cast<int>(kTokens.size()));
-  decoder.reset();
-  EXPECT_EQ(decoder.context_length(), 0);
-}
-
-TEST(Decoder, StepAfterResetMatchesFreshDecoder) {
-  Fixture f;
-  Transformer model(f.config, f.weights, f.mm, f.nl);
-
-  // Pollute a decoder with one sequence, then reset it.
-  Decoder used(model);
-  for (const int t : kTokens) (void)used.step(t);
-  used.reset();
-
-  Decoder fresh(model);
-  for (const int t : kTokens) {
-    const std::vector<float> a = used.step(t);
-    const std::vector<float> b = fresh.step(t);
-    ASSERT_EQ(a, b);  // bit-identical logits at every position
-  }
-  EXPECT_EQ(used.context_length(), fresh.context_length());
-}
-
-TEST(Decoder, ExternalCacheMatchesOwnedCache) {
-  Fixture f;
-  Transformer model(f.config, f.weights, f.mm, f.nl);
-  Decoder owned(model);
-  Decoder external(model);
-  KVCache cache = external.make_cache();
-  EXPECT_EQ(cache.length(), 0);
-
-  for (const int t : kTokens) {
-    const std::vector<float> a = owned.step(t);
-    const std::vector<float> b = external.step(t, cache);
-    ASSERT_EQ(a, b);
-  }
-  EXPECT_EQ(cache.length(), static_cast<int>(kTokens.size()));
-  // The external path leaves the decoder's own cache untouched.
-  EXPECT_EQ(external.context_length(), 0);
-
-  cache.clear();
-  EXPECT_EQ(cache.length(), 0);
-}
-
 TEST(Decoder, OneDecoderServesInterleavedCaches) {
   // Slot reuse in the serving engine: one decoder alternates between two
   // requests' caches and each sequence must be unaffected by the other.
@@ -103,9 +52,11 @@ TEST(Decoder, OneDecoderServesInterleavedCaches) {
 
   Decoder ref_a(model);
   Decoder ref_b(model);
+  KVCache ref_cache_a = ref_a.make_cache();
+  KVCache ref_cache_b = ref_b.make_cache();
   std::vector<std::vector<float>> expect_a, expect_b;
-  for (const int t : seq_a) expect_a.push_back(ref_a.step(t));
-  for (const int t : seq_b) expect_b.push_back(ref_b.step(t));
+  for (const int t : seq_a) expect_a.push_back(ref_a.step(t, ref_cache_a));
+  for (const int t : seq_b) expect_b.push_back(ref_b.step(t, ref_cache_b));
 
   Decoder shared(model);
   KVCache cache_a = shared.make_cache();
@@ -221,8 +172,8 @@ TEST(DecoderBatch, MatchesIndependentStepsFourThreads) {
 
 // --- Chunked prefill ---------------------------------------------------------
 
-/// Consume a prompt whose length does NOT divide the chunk size through
-/// prefill_chunk (full chunks then a ragged tail), and require (a) each
+/// Consume a prompt whose length does NOT divide the chunk size as
+/// one-group step_groups calls (full chunks then a ragged tail), and require (a) each
 /// chunk's logits row to be bit-identical to the serial step() logits at
 /// that chunk's last position, and (b) decode to continue bit-identically
 /// from the chunk-filled cache — chunking is a scheduling change, never
@@ -249,12 +200,14 @@ void expect_prefill_chunk_matches_steps(const std::string& strategy,
     ref_logits.push_back(reference.step(t, ref_cache));
 
   Matrix logits;
+  KVCacheView* views[] = {&cache};
   std::size_t consumed = 0;
   while (consumed < prompt.size()) {
     const std::size_t n =
         std::min(static_cast<std::size_t>(chunk), prompt.size() - consumed);
-    fused.prefill_chunk(std::span<const int>(prompt).subspan(consumed, n),
-                        cache, logits);
+    const int counts[] = {static_cast<int>(n)};
+    fused.step_groups(std::span<const int>(prompt).subspan(consumed, n),
+                      views, counts, logits);
     ASSERT_EQ(logits.rows(), 1);
     ASSERT_EQ(logits.cols(), config.vocab);
     consumed += n;
@@ -410,9 +363,13 @@ TEST(DecoderGroups, AllRowsModeLeavesTheDefaultPathByteExact) {
   for (const int t : prompt) ref_last = reference.step(t, ref_cache);
 
   KVCache cache = fused.make_cache();
+  KVCacheView* views[] = {&cache};
+  const int head[] = {4};
+  const int tail[] = {3};
   Matrix logits;
-  fused.prefill_chunk(std::span<const int>(prompt).first(4), cache, logits);
-  fused.prefill_chunk(std::span<const int>(prompt).subspan(4), cache, logits);
+  fused.step_groups(std::span<const int>(prompt).first(4), views, head, logits);
+  fused.step_groups(std::span<const int>(prompt).subspan(4), views, tail,
+                    logits);
   ASSERT_EQ(logits.rows(), 1);
   const std::span<const float> row = logits.row(0);
   EXPECT_EQ(std::vector<float>(row.begin(), row.end()), ref_last);

@@ -112,28 +112,14 @@ TEST(Decoder, MatchesBatchedForward) {
 
   const Matrix batched = model.forward(tokens);
   Decoder decoder(model);
+  KVCache cache = decoder.make_cache();
   std::vector<float> last;
-  for (const int t : tokens) last = decoder.step(t);
+  for (const int t : tokens) last = decoder.step(t, cache);
   ASSERT_EQ(static_cast<int>(last.size()), cfg.vocab);
   for (int v = 0; v < cfg.vocab; ++v)
     EXPECT_NEAR(last[static_cast<std::size_t>(v)],
                 batched.at(batched.rows() - 1, v), 2e-4)
         << v;
-}
-
-TEST(Decoder, ResetClearsContext) {
-  const ModelConfig cfg = tiny_config();
-  const TransformerWeights w = generate_weights(cfg);
-  Fp32MatmulBackend mm;
-  Fp32NonlinearBackend nl;
-  Transformer model(cfg, w, mm, nl);
-  Decoder decoder(model);
-  const std::vector<float> first = decoder.step(5);
-  (void)decoder.step(9);
-  decoder.reset();
-  const std::vector<float> again = decoder.step(5);
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_FLOAT_EQ(first[i], again[i]);
 }
 
 TEST(PreparedModel, BaselineNearConfigTarget) {
