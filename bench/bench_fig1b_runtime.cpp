@@ -59,13 +59,11 @@ int main() {
   double last_ratio = 0.0;
   for (const int seq : {128, 256, 512, 1024, 2048, 4096}) {
     // Cost-only session: one decode step on a conventional FP16 array.
-    auto session = bbal::Session::Builder()
-                       .model(model)
-                       .matmul("FP16")
-                       .accelerator(cfg)
-                       .skip_accuracy()
-                       .workload_decode(seq)
-                       .build()
+    auto session = bbal::Session::create({.config = model,
+                                          .matmul = "FP16",
+                                          .accelerator = cfg,
+                                          .decode_ctx = seq,
+                                          .skip_accuracy = true})
                        .expect("fig1b session");
     const auto report = session.evaluate().expect("fig1b evaluate");
     const double linear_ms = report.run.seconds * 1e3 * tokens_per_point;

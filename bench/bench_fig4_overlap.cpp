@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bbal/session.hpp"
@@ -34,11 +35,9 @@ int main() {
     auto& cached = ppl_cache[static_cast<std::size_t>(o)];
     if (cached >= 0.0) return cached;
     double acc = 0.0;
+    const std::string matmul = quant::StrategySpec::bbfp(m, o).to_string();
     for (const auto& p : prepared) {
-      auto session = Session::Builder()
-                         .prepared(p)
-                         .matmul(quant::StrategySpec::bbfp(m, o))
-                         .build()
+      auto session = Session::create({.prepared = p, .matmul = matmul})
                          .expect("fig4 session");
       acc += session.evaluate().expect("fig4 evaluate").perplexity;
     }

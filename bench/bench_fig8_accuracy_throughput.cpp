@@ -34,21 +34,16 @@ int main() {
 
   // Two items per strategy: accuracy + iso-area throughput on the Llama
   // model (one evaluate, Fig. 8's rule) and accuracy on the OPT model.
-  // Both models are prepared once by the sweep's shared cache.
+  // The sweep prepares each of the two models once, before any item runs.
   SweepRunner sweep;
   sweep.eval_tokens(eval_tokens);
   for (const std::string& s : strategies) {
-    SweepRunner::Item llama;
-    llama.model = "Llama-7B";
-    llama.matmul = s;
-    llama.iso_area_um2 = pe_budget_um2;
-    llama.iso_dram_gbps = dram_gbps;
-    llama.prefill_seq = 1024;
-    sweep.add(std::move(llama));
-    SweepRunner::Item opt;
-    opt.model = "OPT-6.7B";
-    opt.matmul = s;
-    sweep.add(std::move(opt));
+    sweep.add({.model = "Llama-7B",
+               .matmul = s,
+               .iso_area_um2 = pe_budget_um2,
+               .iso_dram_gbps = dram_gbps,
+               .prefill_seq = 1024});
+    sweep.add({.model = "OPT-6.7B", .matmul = s});
   }
 
   std::fprintf(stderr, "sweeping %zu sessions...\n", sweep.size());

@@ -32,13 +32,11 @@ int main() {
     accel::AcceleratorConfig cfg;  // identical array + buffers everywhere
     cfg.array_rows = cfg.array_cols = 16;
     // Cost-only session: no perplexity run, same prefill workload per row.
-    auto session = Session::Builder()
-                       .model("Llama-7B")
-                       .matmul(s)
-                       .accelerator(cfg)
-                       .skip_accuracy()
-                       .workload_prefill(512)
-                       .build()
+    auto session = Session::create({.model = "Llama-7B",
+                                    .matmul = s,
+                                    .accelerator = cfg,
+                                    .prefill_seq = 512,
+                                    .skip_accuracy = true})
                        .expect("fig9 session");
     const auto report = session.evaluate().expect("fig9 evaluate");
     rows.push_back({s, report.energy});

@@ -80,17 +80,13 @@ int main() {
 
   const std::vector<std::string> strategies = table2_strategies();
 
-  // One sweep item per (strategy, model) cell; models are prepared once by
-  // the sweep's shared cache, exactly like the seed's manual prepared map.
+  // One sweep item per (strategy, model) cell; the sweep prepares each
+  // model once before any cell runs, like the seed's manual prepared map.
   SweepRunner sweep;
   sweep.eval_tokens(eval_tokens);
   for (const std::string& strat : strategies)
-    for (const std::string& model : models) {
-      SweepRunner::Item item;
-      item.model = model;
-      item.matmul = strat;
-      sweep.add(std::move(item));
-    }
+    for (const std::string& model : models)
+      sweep.add({.model = model, .matmul = strat});
 
   std::fprintf(stderr, "sweeping %zu cells (%zu strategies x %zu models)...\n",
                sweep.size(), strategies.size(), models.size());

@@ -41,12 +41,8 @@ int main() {
   SweepRunner sweep;
   sweep.eval_tokens(eval_tokens);
   for (const std::string& nl : nl_strategies)
-    for (const ModelConfig& cfg : zoo) {
-      SweepRunner::Item item;
-      item.config = cfg;
-      item.nonlinear = nl;
-      sweep.add(std::move(item));
-    }
+    for (const ModelConfig& cfg : zoo)
+      sweep.add({.config = cfg, .nonlinear = nl});
 
   std::fprintf(stderr, "sweeping %zu cells over %zu models...\n",
                sweep.size(), zoo.size());

@@ -63,13 +63,11 @@ int main(int argc, char** argv) {
   table.print();
 
   // The whole prefill as one cost-only Session.
-  auto session = Session::Builder()
-                     .model(model)
-                     .matmul(spec.value())
-                     .accelerator(cfg)
-                     .skip_accuracy()
-                     .workload_prefill(seq)
-                     .build();
+  auto session = Session::create({.config = model,
+                                  .matmul = strategy,
+                                  .accelerator = cfg,
+                                  .prefill_seq = seq,
+                                  .skip_accuracy = true});
   if (!session.is_ok()) {
     std::fprintf(stderr, "session: %s\n", session.message().c_str());
     return 1;

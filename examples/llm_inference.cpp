@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
         std::string("BBFP(4,2)"), std::string("BBFP(6,3)"),
         std::string("Oltron"), std::string("Olive"),
         std::string("OmniQuant")}) {
-    auto session =
-        Session::Builder().prepared(prepared).matmul(strategy).build();
+    auto session = Session::create({.prepared = prepared, .matmul = strategy});
     if (!session.is_ok()) {
       std::fprintf(stderr, "%s: %s\n", strategy.c_str(),
                    session.message().c_str());

@@ -61,13 +61,11 @@ int main() {
   // 5. One Table II cell end to end: accuracy and hardware cost from the
   //    same forward passes, via the Session API.
   std::printf("\nOne Session = one Table II cell (small eval stream):\n");
-  auto session = bbal::Session::Builder()
-                     .model("Llama-7B")
-                     .eval_tokens(256)
-                     .matmul("BBFP(4,2)")
-                     .nonlinear("FP32")
-                     .accelerator_iso_area(/*pe_area_budget_um2=*/150000.0)
-                     .build();
+  auto session = bbal::Session::create({.model = "Llama-7B",
+                                        .eval_tokens = 256,
+                                        .matmul = "BBFP(4,2)",
+                                        .nonlinear = "FP32",
+                                        .iso_area_um2 = 150000.0});
   if (!session.is_ok()) {
     std::fprintf(stderr, "session: %s\n", session.message().c_str());
     return 1;

@@ -25,11 +25,9 @@ int main() {
   auto model = prepare_shared("Llama-1B", /*eval_tokens=*/128);
   accel::AcceleratorConfig accel_cfg;
   accel_cfg.array_rows = accel_cfg.array_cols = 16;
-  auto session = Session::Builder()
-                     .prepared(model)
-                     .matmul("BBFP(4,2)")
-                     .accelerator(accel_cfg)
-                     .build()
+  auto session = Session::create({.prepared = model,
+                                  .matmul = "BBFP(4,2)",
+                                  .accelerator = accel_cfg})
                      .expect("session");
 
   // 2. Engine with 3 execution slots serving 6 requests: requests queue,

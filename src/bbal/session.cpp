@@ -99,170 +99,79 @@ std::shared_ptr<const llm::PreparedModel> prepare_shared(
   return prepare_shared(llm::config_by_name(zoo_name), eval_tokens);
 }
 
-// --- Builder -----------------------------------------------------------------
-
-Session::Builder& Session::Builder::model(const std::string& zoo_name) {
-  auto config = llm::find_config(zoo_name);
-  if (config.is_ok()) {
-    config_ = std::move(config).value();
-    model_error_.clear();
-  } else {
-    // Surface the lookup failure from build(), like every other error.
-    model_error_ = config.message();
-    config_.reset();
-  }
-  return *this;
-}
-
-Session::Builder& Session::Builder::model(llm::ModelConfig config) {
-  config_ = std::move(config);
-  return *this;
-}
-
-Session::Builder& Session::Builder::prepared(
-    std::shared_ptr<const llm::PreparedModel> model) {
-  prepared_ = std::move(model);
-  return *this;
-}
-
-Session::Builder& Session::Builder::eval_tokens(int tokens) {
-  eval_tokens_ = tokens;
-  return *this;
-}
-
-Session::Builder& Session::Builder::matmul(std::string_view strategy) {
-  matmul_text_ = std::string(strategy);
-  matmul_spec_.reset();
-  return *this;
-}
-
-Session::Builder& Session::Builder::matmul(quant::StrategySpec spec) {
-  matmul_spec_ = spec;
-  return *this;
-}
-
-Session::Builder& Session::Builder::nonlinear(std::string_view strategy) {
-  nonlinear_text_ = std::string(strategy);
-  nonlinear_spec_.reset();
-  return *this;
-}
-
-Session::Builder& Session::Builder::nonlinear(quant::StrategySpec spec) {
-  nonlinear_spec_ = spec;
-  return *this;
-}
-
-Session::Builder& Session::Builder::accelerator(
-    accel::AcceleratorConfig config) {
-  accel_ = std::move(config);
-  iso_area_um2_.reset();
-  return *this;
-}
-
-Session::Builder& Session::Builder::accelerator_iso_area(
-    double pe_area_budget_um2, double dram_gbps) {
-  iso_area_um2_ = pe_area_budget_um2;
-  iso_dram_gbps_ = dram_gbps;
-  accel_.reset();
-  return *this;
-}
-
-Session::Builder& Session::Builder::skip_accuracy() {
-  skip_accuracy_ = true;
-  return *this;
-}
-
-Session::Builder& Session::Builder::workload_prefill(int seq) {
-  prefill_seq_ = seq;
-  return *this;
-}
-
-Session::Builder& Session::Builder::workload_decode(int ctx) {
-  decode_ctx_ = ctx;
-  return *this;
-}
-
-Result<Session> Session::Builder::build() {
+Result<Session> Session::create(Options options) {
   using R = Result<Session>;
-  if (!model_error_.empty()) return R::error("model: " + model_error_);
-  const BackendRegistry& registry = BackendRegistry::instance();
+  Session session;
 
-  // Resolve strategy specs.
-  quant::StrategySpec matmul;
-  if (matmul_spec_) {
-    matmul = *matmul_spec_;
+  // Model: a shared prepared model wins; a config or zoo name defers the
+  // (expensive) preparation until the first accuracy evaluation.
+  if (options.prepared) {
+    session.config_ = options.prepared->config;
+    session.prepared_ = std::move(options.prepared);
+  } else if (options.config) {
+    session.config_ = std::move(*options.config);
+  } else if (!options.model.empty()) {
+    auto config = llm::find_config(options.model);
+    if (!config.is_ok()) return R::error("model: " + config.message());
+    session.config_ = std::move(config).value();
   } else {
-    auto parsed = quant::StrategySpec::parse(matmul_text_);
-    if (!parsed.is_ok()) return R::error("matmul: " + parsed.message());
-    matmul = parsed.value();
+    return R::error("no model: set model, config or prepared");
   }
-  quant::StrategySpec nonlinear;
-  if (nonlinear_spec_) {
-    nonlinear = *nonlinear_spec_;
-  } else {
-    auto parsed = quant::StrategySpec::parse(nonlinear_text_);
-    if (!parsed.is_ok()) return R::error("nonlinear: " + parsed.message());
-    nonlinear = parsed.value();
-  }
+  session.eval_tokens_ = options.eval_tokens;
+  session.skip_accuracy_ = options.skip_accuracy;
+
+  auto matmul = quant::StrategySpec::parse(options.matmul);
+  if (!matmul.is_ok()) return R::error("matmul: " + matmul.message());
+  session.matmul_ = matmul.value();
+  auto nonlinear = quant::StrategySpec::parse(options.nonlinear);
+  if (!nonlinear.is_ok()) return R::error("nonlinear: " + nonlinear.message());
+  session.nonlinear_ = nonlinear.value();
 
   // Capability checks up front, so evaluate() cannot fail on lookups.
-  {
-    const auto caps = registry.capabilities(matmul);
-    if (!caps.is_ok()) return R::error("matmul: " + caps.message());
-    if (!caps.value().matmul)
-      return R::error("matmul: " + matmul.to_string() +
-                      " is not a linear-layer strategy");
-    const auto nl_caps = registry.capabilities(nonlinear);
-    if (!nl_caps.is_ok()) return R::error("nonlinear: " + nl_caps.message());
-    if (!nl_caps.value().nonlinear)
-      return R::error("nonlinear: " + nonlinear.to_string() +
-                      " is not a nonlinear strategy");
-  }
-
-  Session session;
-  session.matmul_ = matmul;
-  session.nonlinear_ = nonlinear;
-  session.skip_accuracy_ = skip_accuracy_;
-  session.eval_tokens_ = eval_tokens_;
-
-  // Model: a shared prepared model wins; a bare config defers the
-  // (expensive) preparation until the first accuracy evaluation.
-  if (prepared_) {
-    session.config_ = prepared_->config;
-    session.prepared_ = std::move(prepared_);
-  } else if (config_) {
-    session.config_ = *config_;
-  } else {
-    return R::error("no model: call model(...) or prepared(...)");
-  }
+  const BackendRegistry& registry = BackendRegistry::instance();
+  const auto caps = registry.capabilities(session.matmul_);
+  if (!caps.is_ok()) return R::error("matmul: " + caps.message());
+  if (!caps.value().matmul)
+    return R::error("matmul: " + session.matmul_.to_string() +
+                    " is not a linear-layer strategy");
+  const auto nl_caps = registry.capabilities(session.nonlinear_);
+  if (!nl_caps.is_ok()) return R::error("nonlinear: " + nl_caps.message());
+  if (!nl_caps.value().nonlinear)
+    return R::error("nonlinear: " + session.nonlinear_.to_string() +
+                    " is not a nonlinear strategy");
 
   // Accelerator: bind the matmul strategy's PE design to the cost model.
-  const bool wants_accel = accel_.has_value() || iso_area_um2_.has_value();
+  if (options.accelerator && options.iso_area_um2)
+    return R::error("choose one of accelerator, iso_area_um2");
+  const bool wants_accel = options.accelerator || options.iso_area_um2;
   if (wants_accel) {
-    auto cfg = accel_ ? accel::with_strategy(std::move(*accel_), matmul)
-                      : accel::make_iso_area_config(matmul, *iso_area_um2_,
-                                                    iso_dram_gbps_);
+    auto cfg = options.accelerator
+                   ? accel::with_strategy(std::move(*options.accelerator),
+                                          session.matmul_)
+                   : accel::make_iso_area_config(session.matmul_,
+                                                 *options.iso_area_um2,
+                                                 options.iso_dram_gbps);
     if (!cfg.is_ok()) return R::error("accelerator: " + cfg.message());
     session.accel_ = std::move(cfg).value();
   }
 
   // Cost workload overrides.
-  if (prefill_seq_ && decode_ctx_)
-    return R::error("choose one of workload_prefill(), workload_decode()");
-  if (prefill_seq_) {
+  if (options.prefill_seq && options.decode_ctx)
+    return R::error("choose one of prefill_seq, decode_ctx");
+  if (options.prefill_seq) {
     session.workload_override_ =
-        accel::prefill_gemms(session.config_, *prefill_seq_);
-  } else if (decode_ctx_) {
+        accel::prefill_gemms(session.config_, *options.prefill_seq);
+  } else if (options.decode_ctx) {
     session.workload_override_ =
-        accel::decode_step_gemms(session.config_, *decode_ctx_);
+        accel::decode_step_gemms(session.config_, *options.decode_ctx);
   }
 
-  if (skip_accuracy_ && !wants_accel)
-    return R::error("nothing to do: skip_accuracy() with no accelerator");
-  if (skip_accuracy_ && !session.workload_override_)
+  if (options.skip_accuracy && !wants_accel)
+    return R::error("nothing to do: skip_accuracy with no accelerator");
+  if (options.skip_accuracy && !session.workload_override_)
     return R::error(
-        "skip_accuracy() needs an explicit workload (workload_prefill / "
-        "workload_decode)");
+        "skip_accuracy needs an explicit workload (prefill_seq or "
+        "decode_ctx)");
 
   return session;
 }

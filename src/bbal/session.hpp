@@ -9,12 +9,9 @@
 // of the per-bench glue the seed repeated 14 times.
 //
 //   auto model = bbal::prepare_shared("Llama-7B", /*eval_tokens=*/320);
-//   auto session = bbal::Session::Builder()
-//                      .prepared(model)
-//                      .matmul("BBFP(4,2)")
-//                      .nonlinear("FP32")
-//                      .accelerator_iso_area(150000.0, 51.2)
-//                      .build();               // Result<Session>
+//   auto session = bbal::Session::create({.prepared = model,
+//                                         .matmul = "BBFP(4,2)",
+//                                         .iso_area_um2 = 150000.0});
 //   if (!session.is_ok()) { /* session.message() explains why */ }
 //   auto report = session.value().evaluate().expect("evaluate");
 //   // report.perplexity, .run.throughput_gops, .energy.total_j()
@@ -23,7 +20,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "accel/config.hpp"
@@ -68,56 +64,43 @@ class Session {
     [[nodiscard]] std::string to_json() const;
   };
 
-  class Builder {
-   public:
-    /// Model by zoo name or full config (Session prepares + calibrates it
-    /// at build; prefer prepared() to share that cost across sessions).
-    Builder& model(const std::string& zoo_name);
-    Builder& model(llm::ModelConfig config);
-    Builder& prepared(std::shared_ptr<const llm::PreparedModel> model);
+  /// Everything a Session binds. Name the fields you set in a designated
+  /// initializer; the rest keep their defaults.
+  struct Options {
+    /// The model: `prepared` (shared across sessions) if set, else
+    /// `config`, else the zoo name `model`. The Session prepares
+    /// (calibrates) a config or zoo model itself on its first accuracy
+    /// run.
+    std::string model{};
+    std::optional<llm::ModelConfig> config{};
+    std::shared_ptr<const llm::PreparedModel> prepared{};
     /// Evaluation stream length when the Session prepares its own model.
-    Builder& eval_tokens(int tokens);
+    int eval_tokens = 512;
 
-    Builder& matmul(std::string_view strategy);
-    Builder& matmul(quant::StrategySpec spec);
-    Builder& nonlinear(std::string_view strategy);
-    Builder& nonlinear(quant::StrategySpec spec);
+    /// Strategy names (quant::StrategySpec::parse's grammar).
+    std::string matmul = "FP32";
+    std::string nonlinear = "FP32";
 
-    /// Attach an accelerator; its PE design is rebound to the session's
-    /// matmul strategy through accel::with_strategy at build time (one
-    /// strategy drives both halves).
-    Builder& accelerator(accel::AcceleratorConfig config);
-    /// Iso-area accelerator (Fig. 8's comparison rule), derived from the
-    /// matmul strategy's PE design at build time.
-    Builder& accelerator_iso_area(double pe_area_budget_um2,
-                                  double dram_gbps = hw::kDramBandwidthGBs);
+    /// An accelerator, its PE design rebound to the matmul strategy
+    /// through accel::with_strategy (one strategy drives both halves)...
+    std::optional<accel::AcceleratorConfig> accelerator{};
+    /// ...or an iso-area one (Fig. 8's comparison rule), derived from the
+    /// matmul strategy's PE design. Setting both is an error.
+    std::optional<double> iso_area_um2{};
+    double iso_dram_gbps = hw::kDramBandwidthGBs;
 
-    /// Skip the perplexity run; cost simulation uses a synthetic workload.
-    Builder& skip_accuracy();
-    /// Synthetic prefill / decode-step workloads from the model config.
-    Builder& workload_prefill(int seq);
-    Builder& workload_decode(int ctx);
-
-    /// Validate the combination and construct the Session. All errors
-    /// (unknown strategy, missing capability, no model) surface here.
-    [[nodiscard]] Result<Session> build();
-
-   private:
-    std::string model_error_;
-    std::optional<llm::ModelConfig> config_;
-    std::shared_ptr<const llm::PreparedModel> prepared_;
-    int eval_tokens_ = 512;
-    std::string matmul_text_ = "FP32";
-    std::optional<quant::StrategySpec> matmul_spec_;
-    std::string nonlinear_text_ = "FP32";
-    std::optional<quant::StrategySpec> nonlinear_spec_;
-    std::optional<accel::AcceleratorConfig> accel_;
-    std::optional<double> iso_area_um2_;
-    double iso_dram_gbps_ = hw::kDramBandwidthGBs;
-    bool skip_accuracy_ = false;
-    std::optional<int> prefill_seq_;
-    std::optional<int> decode_ctx_;
+    /// A synthetic prefill or decode-step cost workload from the model
+    /// config instead of the captured one; at most one of the two.
+    std::optional<int> prefill_seq{};
+    std::optional<int> decode_ctx{};
+    /// Skip the perplexity run: cost only, on a synthetic workload.
+    bool skip_accuracy = false;
   };
+
+  /// Validate the combination and construct the Session. All errors
+  /// (unknown model or strategy, missing capability, conflicting fields)
+  /// surface here.
+  [[nodiscard]] static Result<Session> create(Options options);
 
   /// Run the co-simulation. Deterministic and repeatable: backends are
   /// constructed fresh per call. The model is prepared (calibrated) lazily
@@ -156,7 +139,6 @@ class Session {
   }
 
  private:
-  friend class Builder;
   Session() = default;
 
   llm::ModelConfig config_;

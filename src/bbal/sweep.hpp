@@ -2,33 +2,34 @@
 // strategy) combinations concurrently on the process thread pool.
 //
 // This is the engine behind the Table II / Table IV / Fig. 8 sweeps and
-// tools/record_table2: items are declared up front, run() fans them out
-// over common::ThreadPool::global(), and the results come back in
-// *declaration order* regardless of which thread finished first.
+// tools/record_table2: items are declared up front as Session::Options,
+// run() fans them out over common::ThreadPool::global(), and the results
+// come back in *declaration order* regardless of which thread finished
+// first.
 //
 // Guarantees:
 //  - Determinism: reports[i] always corresponds to items[i], and every
 //    report is bit-identical to what a serial Session::evaluate() of the
 //    same item produces (tested in test_session; locked in by the
 //    BENCH_table2.json CI gate at BBAL_THREADS=1/2/N).
-//  - Shared lazy preparation: items naming the same model share one
-//    PreparedModel — the first item to need it calibrates, concurrent
-//    items for the same model wait, later ones reuse. An explicitly
-//    attached `prepared` model bypasses the cache.
-//  - Error isolation: a failing item (unknown strategy, bad combination)
-//    yields an error Result in its slot; the other items still run.
+//  - One preparation per model: run() first prepares each distinct config
+//    its accuracy items need (configs compared field by field, so two
+//    configs that share a name get a model each), once, in one pooled
+//    loop; then it evaluates every item on those shared models. An
+//    explicitly attached `prepared` model is used as is.
+//  - Error isolation: a failing item (unknown model or strategy, bad
+//    combination) yields an error Result in its slot; the other items
+//    still run.
 //
 //   SweepRunner sweep;
 //   sweep.eval_tokens(256);
 //   for (const auto& s : table2_strategies())
-//     sweep.add(SweepRunner::Item{.model = "Llama-7B", .matmul = s});
+//     sweep.add({.model = "Llama-7B", .matmul = s});
 //   auto result = sweep.run();
 //   // result.reports[i] pairs with the i-th add(); result.wall_seconds
 //   // and result.threads feed the bench JSON's sweep metadata.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,33 +39,18 @@ namespace bbal {
 
 class SweepRunner {
  public:
-  /// One cell of the sweep: a model (by zoo name, explicit config, or an
-  /// already-prepared model) under one strategy pair, with an optional
-  /// accelerator attached the same way Session::Builder takes it.
-  struct Item {
-    std::string model;  ///< zoo name; ignored when config/prepared is set
-    std::optional<llm::ModelConfig> config;
-    std::shared_ptr<const llm::PreparedModel> prepared;
-
-    std::string matmul = "FP32";
-    std::string nonlinear = "FP32";
-
-    std::optional<accel::AcceleratorConfig> accelerator;
-    std::optional<double> iso_area_um2;
-    double iso_dram_gbps = hw::kDramBandwidthGBs;
-
-    /// Fixed cost workload instead of the captured one (Fig. 8's rule).
-    std::optional<int> prefill_seq;
-    /// Cost-only item: skip the perplexity run (needs prefill_seq).
-    bool skip_accuracy = false;
-  };
+  /// One cell of the sweep: a Session's options. An accuracy item with no
+  /// `prepared` model runs on the one the sweep prepares for its config,
+  /// at the sweep's eval_tokens(); an item's own eval_tokens is read only
+  /// by a Session that prepares its own model.
+  using Item = Session::Options;
 
   struct SweepResult {
     /// One slot per add(), in declaration order.
     std::vector<Result<Session::Report>> reports;
     double wall_seconds = 0.0;  ///< run() wall-clock for the whole sweep
     int threads = 1;            ///< executors the sweep ran with
-    int models_prepared = 0;    ///< distinct models calibrated by the cache
+    int models_prepared = 0;    ///< distinct configs the sweep prepared
 
     /// True when every item evaluated cleanly.
     [[nodiscard]] bool all_ok() const;

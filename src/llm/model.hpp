@@ -41,6 +41,7 @@ struct ModelConfig {
   double fp_baseline_ppl = 5.47;
 
   [[nodiscard]] int head_dim() const { return d_model / n_heads; }
+  bool operator==(const ModelConfig&) const = default;
 };
 
 struct LayerWeights {

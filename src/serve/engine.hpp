@@ -64,9 +64,10 @@
 // BBAL_THREADS and under any policy (tested in test_serve; gated by
 // BENCH_serve.json in CI).
 //
-//   auto session = bbal::Session::Builder()
-//                      .prepared(model).matmul("BBFP(4,2)")
-//                      .accelerator(accel_cfg).build().expect("build");
+//   auto session = bbal::Session::create({.prepared = model,
+//                                         .matmul = "BBFP(4,2)",
+//                                         .accelerator = accel_cfg})
+//                      .expect("session");
 //   auto engine = serve::Engine::from_session(session, /*max_batch=*/8)
 //                     .expect("engine");
 //   for (const auto& prompt : prompts)

@@ -22,12 +22,10 @@ std::shared_ptr<const PreparedModel> shared_model() {
 /// Perplexity of one strategy on the shared model, via a Session.
 double session_ppl(const std::string& matmul,
                    const std::string& nonlinear = "FP32") {
-  auto session = Session::Builder()
-                     .prepared(shared_model())
-                     .matmul(matmul)
-                     .nonlinear(nonlinear)
-                     .build()
-                     .expect("build");
+  auto session = Session::create({.prepared = shared_model(),
+                                  .matmul = matmul,
+                                  .nonlinear = nonlinear})
+                     .expect("create");
   return session.evaluate().expect("evaluate").perplexity;
 }
 
@@ -72,11 +70,8 @@ TEST(Integration, NonlinearBbfpSafeBfpWorse) {
   static const std::shared_ptr<const PreparedModel> prepared =
       prepare_shared("Llama-7B-nl", 224);
   auto ppl_with_nl = [&](const std::string& nl) {
-    auto session = Session::Builder()
-                       .prepared(prepared)
-                       .nonlinear(nl)
-                       .build()
-                       .expect("build");
+    auto session = Session::create({.prepared = prepared, .nonlinear = nl})
+                       .expect("create");
     return session.evaluate().expect("evaluate").perplexity;
   };
   const double ppl_bbfp = ppl_with_nl("BBFP-LUT(10,5)");
@@ -89,14 +84,13 @@ TEST(Integration, IsoAreaThroughputStory) {
   // The Fig. 8 compute story end to end on the accelerator model:
   // cost-only sessions, identical fixed prefill workload, iso PE area.
   auto throughput = [](const std::string& strategy) {
-    auto session = Session::Builder()
-                       .prepared(shared_model())
-                       .matmul(strategy)
-                       .accelerator_iso_area(120000.0, 51.2)
-                       .skip_accuracy()
-                       .workload_prefill(512)
-                       .build()
-                       .expect("build");
+    auto session = Session::create({.prepared = shared_model(),
+                                    .matmul = strategy,
+                                    .iso_area_um2 = 120000.0,
+                                    .iso_dram_gbps = 51.2,
+                                    .prefill_seq = 512,
+                                    .skip_accuracy = true})
+                       .expect("create");
     return session.evaluate().expect("evaluate").run.throughput_gops;
   };
   EXPECT_GT(throughput("BBFP(3,1)"), throughput("BFP4") * 1.08);
@@ -108,14 +102,12 @@ TEST(Integration, EnergyStory) {
   auto energy = [](const std::string& strategy) {
     accel::AcceleratorConfig cfg;
     cfg.array_rows = cfg.array_cols = 16;
-    auto session = Session::Builder()
-                       .prepared(shared_model())
-                       .matmul(strategy)
-                       .accelerator(cfg)
-                       .skip_accuracy()
-                       .workload_prefill(256)
-                       .build()
-                       .expect("build");
+    auto session = Session::create({.prepared = shared_model(),
+                                    .matmul = strategy,
+                                    .accelerator = cfg,
+                                    .prefill_seq = 256,
+                                    .skip_accuracy = true})
+                       .expect("create");
     return session.evaluate().expect("evaluate").energy.total_j();
   };
   EXPECT_LT(energy("BBFP(3,1)"), energy("BFP4") * 1.02);

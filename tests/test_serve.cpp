@@ -345,11 +345,9 @@ TEST(ServeEngine, KvFormatsAreThreadCountInvariant) {
 TEST(ServeEngine, FromSessionServesTheSessionConfiguration) {
   accel::AcceleratorConfig cfg;
   cfg.array_rows = cfg.array_cols = 8;
-  auto session = Session::Builder()
-                     .prepared(tiny_model())
-                     .matmul("BBFP(4,2)")
-                     .accelerator(cfg)
-                     .build()
+  auto session = Session::create({.prepared = tiny_model(),
+                                  .matmul = "BBFP(4,2)",
+                                  .accelerator = cfg})
                      .expect("session");
   auto engine =
       serve::Engine::from_session(session, /*max_batch=*/2).expect("engine");

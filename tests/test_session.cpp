@@ -1,4 +1,4 @@
-// bbal::Session: builder validation, the one-call accuracy+cost
+// bbal::Session: options validation, the one-call accuracy+cost
 // co-simulation, and its consistency with the underlying primitives.
 // Plus bbal::SweepRunner: parallel sweeps must reproduce serial
 // Session::evaluate() bit for bit, in declaration order.
@@ -29,56 +29,79 @@ std::shared_ptr<const llm::PreparedModel> tiny_model() {
   return prepared;
 }
 
-TEST(SessionBuilder, RejectsBadStrategies) {
+TEST(SessionOptions, RejectsBadStrategies) {
   const auto bogus =
-      Session::Builder().prepared(tiny_model()).matmul("bogus").build();
+      Session::create({.prepared = tiny_model(), .matmul = "bogus"});
   EXPECT_FALSE(bogus.is_ok());
   EXPECT_FALSE(bogus.message().empty());
 
   // A nonlinear-only strategy cannot serve as the matmul backend.
-  const auto wrong_kind = Session::Builder()
-                              .prepared(tiny_model())
-                              .matmul("PseudoSoftmax")
-                              .build();
+  const auto wrong_kind =
+      Session::create({.prepared = tiny_model(), .matmul = "PseudoSoftmax"});
   EXPECT_FALSE(wrong_kind.is_ok());
 
   // ...and a matmul-only strategy cannot serve as the nonlinear backend.
-  const auto wrong_nl = Session::Builder()
-                            .prepared(tiny_model())
-                            .nonlinear("BBFP(4,2)")
-                            .build();
+  const auto wrong_nl =
+      Session::create({.prepared = tiny_model(), .nonlinear = "BBFP(4,2)"});
   EXPECT_FALSE(wrong_nl.is_ok());
 }
 
-TEST(SessionBuilder, RejectsMissingModelAndUselessCombos) {
-  EXPECT_FALSE(Session::Builder().matmul("BBFP(4,2)").build().is_ok());
+TEST(SessionOptions, RejectsMissingModelAndUselessCombos) {
+  EXPECT_FALSE(Session::create({.matmul = "BBFP(4,2)"}).is_ok());
 
-  // Unknown zoo names surface as build() errors naming the known models
+  // Unknown zoo names surface as create() errors naming the known models
   // (the seed's config_by_name silently fell back under NDEBUG).
-  const auto unknown = Session::Builder().model("No-Such-Model").build();
+  const auto unknown = Session::create({.model = "No-Such-Model"});
   ASSERT_FALSE(unknown.is_ok());
   EXPECT_NE(unknown.message().find("No-Such-Model"), std::string::npos);
   EXPECT_NE(unknown.message().find("Llama-7B"), std::string::npos)
       << unknown.message();
 
   // skip_accuracy with no accelerator evaluates nothing.
-  EXPECT_FALSE(Session::Builder()
-                   .prepared(tiny_model())
-                   .skip_accuracy()
-                   .build()
-                   .is_ok());
+  const auto nothing =
+      Session::create({.prepared = tiny_model(), .skip_accuracy = true});
+  EXPECT_FALSE(nothing.is_ok());
 
   // FP32 has no hardware cost model: attaching an accelerator is an error,
-  // reported at build time.
+  // reported at create time.
   accel::AcceleratorConfig cfg;
-  const auto r = Session::Builder()
-                     .prepared(tiny_model())
-                     .matmul("FP32")
-                     .accelerator(cfg)
-                     .build();
+  const auto r = Session::create(
+      {.prepared = tiny_model(), .matmul = "FP32", .accelerator = cfg});
   EXPECT_FALSE(r.is_ok());
   EXPECT_NE(r.message().find("cost model"), std::string::npos)
       << r.message();
+}
+
+TEST(SessionOptions, RejectsConflictingFields) {
+  accel::AcceleratorConfig cfg;
+  // Two accelerators: a bound array and an iso-area one.
+  const auto two_accels = Session::create({.prepared = tiny_model(),
+                                           .matmul = "BBFP(4,2)",
+                                           .accelerator = cfg,
+                                           .iso_area_um2 = 150000.0});
+  ASSERT_FALSE(two_accels.is_ok());
+  EXPECT_NE(two_accels.message().find("iso_area_um2"), std::string::npos)
+      << two_accels.message();
+
+  // Two fixed workloads: a prefill and a decode step.
+  const auto two_workloads = Session::create({.prepared = tiny_model(),
+                                              .matmul = "BBFP(4,2)",
+                                              .accelerator = cfg,
+                                              .prefill_seq = 64,
+                                              .decode_ctx = 64});
+  ASSERT_FALSE(two_workloads.is_ok());
+  EXPECT_NE(two_workloads.message().find("decode_ctx"), std::string::npos)
+      << two_workloads.message();
+
+  // Cost only with nothing fixed to price: the captured workload needs
+  // the accuracy run that skip_accuracy skips.
+  const auto no_workload = Session::create({.prepared = tiny_model(),
+                                            .matmul = "BBFP(4,2)",
+                                            .accelerator = cfg,
+                                            .skip_accuracy = true});
+  ASSERT_FALSE(no_workload.is_ok());
+  EXPECT_NE(no_workload.message().find("workload"), std::string::npos)
+      << no_workload.message();
 }
 
 TEST(Session, OneCallMatchesUnderlyingPrimitives) {
@@ -86,11 +109,8 @@ TEST(Session, OneCallMatchesUnderlyingPrimitives) {
   // Table II cell exactly as the layer-by-layer APIs compute them.
   accel::AcceleratorConfig cfg;
   cfg.array_rows = cfg.array_cols = 8;
-  auto session = Session::Builder()
-                     .prepared(tiny_model())
-                     .matmul("BBFP(4,2)")
-                     .accelerator(cfg)
-                     .build();
+  auto session = Session::create(
+      {.prepared = tiny_model(), .matmul = "BBFP(4,2)", .accelerator = cfg});
   ASSERT_TRUE(session.is_ok()) << session.message();
   const auto report = session.value().evaluate().expect("evaluate");
 
@@ -114,11 +134,8 @@ TEST(Session, OneCallMatchesUnderlyingPrimitives) {
 }
 
 TEST(Session, CapturedWorkloadMatchesModelShape) {
-  auto session = Session::Builder()
-                     .prepared(tiny_model())
-                     .matmul("BFP4")
-                     .build()
-                     .expect("build");
+  auto session = Session::create({.prepared = tiny_model(), .matmul = "BFP4"})
+                     .expect("create");
   const auto report = session.evaluate().expect("evaluate");
 
   // Teacher-forced pass over T tokens: per layer 7 weight GEMMs + 2
@@ -148,11 +165,9 @@ TEST(Session, CapturedWorkloadMatchesModelShape) {
 
 TEST(Session, MemoryFootprintTracksFormatWidth) {
   auto footprint = [](const char* strategy) {
-    auto session = Session::Builder()
-                       .prepared(tiny_model())
-                       .matmul(strategy)
-                       .build()
-                       .expect("build");
+    auto session =
+        Session::create({.prepared = tiny_model(), .matmul = strategy})
+            .expect("create");
     return session.evaluate().expect("evaluate").memory_footprint_bytes;
   };
   const double fp32 = footprint("FP32");
@@ -168,14 +183,12 @@ TEST(Session, CostOnlySessionSkipsPreparation) {
   llm::ModelConfig cfg = tiny_model()->config;
   accel::AcceleratorConfig acfg;
   acfg.array_rows = acfg.array_cols = 8;
-  auto session = Session::Builder()
-                     .model(cfg)
-                     .matmul("BBFP(4,2)")
-                     .accelerator(acfg)
-                     .skip_accuracy()
-                     .workload_prefill(64)
-                     .build()
-                     .expect("build");
+  auto session = Session::create({.config = cfg,
+                                  .matmul = "BBFP(4,2)",
+                                  .accelerator = acfg,
+                                  .prefill_seq = 64,
+                                  .skip_accuracy = true})
+                     .expect("create");
   const auto report = session.evaluate().expect("evaluate");
   EXPECT_EQ(session.prepared_model(), nullptr);
   EXPECT_FALSE(report.has_accuracy);
@@ -185,11 +198,9 @@ TEST(Session, CostOnlySessionSkipsPreparation) {
 }
 
 TEST(Session, ReportSerialisesToJson) {
-  auto session = Session::Builder()
-                     .prepared(tiny_model())
-                     .matmul("BBFP(4,2)")
-                     .build()
-                     .expect("build");
+  auto session =
+      Session::create({.prepared = tiny_model(), .matmul = "BBFP(4,2)"})
+          .expect("create");
   const std::string json =
       session.evaluate().expect("evaluate").to_json();
   EXPECT_NE(json.find("\"matmul\": \"BBFP(4,2)\""), std::string::npos)
@@ -200,11 +211,9 @@ TEST(Session, ReportSerialisesToJson) {
 }
 
 TEST(Session, EvaluateIsRepeatable) {
-  auto session = Session::Builder()
-                     .prepared(tiny_model())
-                     .matmul("BBFP(4,2)")
-                     .build()
-                     .expect("build");
+  auto session =
+      Session::create({.prepared = tiny_model(), .matmul = "BBFP(4,2)"})
+          .expect("create");
   const auto first = session.evaluate().expect("evaluate");
   const auto second = session.evaluate().expect("evaluate");
   EXPECT_DOUBLE_EQ(first.perplexity, second.perplexity);
@@ -218,12 +227,8 @@ TEST(SweepRunner, MatchesSerialSessionEvaluateInOrder) {
                                                "BBFP(6,3)"};
   common::ThreadPool::set_global_threads(4);
   SweepRunner sweep;
-  for (const std::string& s : strategies) {
-    SweepRunner::Item item;
-    item.prepared = tiny_model();
-    item.matmul = s;
-    sweep.add(std::move(item));
-  }
+  for (const std::string& s : strategies)
+    sweep.add({.prepared = tiny_model(), .matmul = s});
   const auto result = sweep.run();
   common::ThreadPool::set_global_threads(common::ThreadPool::env_threads());
   ASSERT_TRUE(result.all_ok()) << result.first_error();
@@ -231,11 +236,9 @@ TEST(SweepRunner, MatchesSerialSessionEvaluateInOrder) {
   EXPECT_EQ(result.threads, 4);
 
   for (std::size_t i = 0; i < strategies.size(); ++i) {
-    auto serial = Session::Builder()
-                      .prepared(tiny_model())
-                      .matmul(strategies[i])
-                      .build()
-                      .expect("serial build");
+    auto serial =
+        Session::create({.prepared = tiny_model(), .matmul = strategies[i]})
+            .expect("serial create");
     const auto expected = serial.evaluate().expect("serial evaluate");
     const Session::Report& got = result.reports[i].value();
     EXPECT_EQ(got.matmul_strategy.to_string(), strategies[i]);
@@ -250,17 +253,9 @@ TEST(SweepRunner, MatchesSerialSessionEvaluateInOrder) {
 
 TEST(SweepRunner, IsolatesFailingItems) {
   SweepRunner sweep;
-  SweepRunner::Item good;
-  good.prepared = tiny_model();
-  good.matmul = "BFP4";
-  sweep.add(good);
-  SweepRunner::Item bad;
-  bad.prepared = tiny_model();
-  bad.matmul = "no-such-strategy";
-  sweep.add(bad);
-  SweepRunner::Item bad_model;
-  bad_model.model = "No-Such-Model";
-  sweep.add(bad_model);
+  sweep.add({.prepared = tiny_model(), .matmul = "BFP4"});
+  sweep.add({.prepared = tiny_model(), .matmul = "no-such-strategy"});
+  sweep.add({.model = "No-Such-Model"});
   const auto result = sweep.run();
   ASSERT_EQ(result.reports.size(), 3u);
   EXPECT_TRUE(result.reports[0].is_ok()) << result.reports[0].message();
@@ -273,18 +268,13 @@ TEST(SweepRunner, IsolatesFailingItems) {
 }
 
 TEST(SweepRunner, SharesOnePreparationAcrossItems) {
-  // Four items on the same (tiny) model config: the cache must calibrate
+  // Four items on the same (tiny) model config: the sweep must calibrate
   // once, and every report must see the same baseline.
   llm::ModelConfig cfg = tiny_model()->config;
-  cfg.name = "sweep-shared";  // distinct cache key from other tests
   SweepRunner sweep;
   sweep.eval_tokens(96);
-  for (const char* s : {"FP32", "BFP4", "BFP6", "BBFP(4,2)"}) {
-    SweepRunner::Item item;
-    item.config = cfg;
-    item.matmul = s;
-    sweep.add(std::move(item));
-  }
+  for (const char* s : {"FP32", "BFP4", "BFP6", "BBFP(4,2)"})
+    sweep.add({.config = cfg, .matmul = s});
   const auto result = sweep.run();
   ASSERT_TRUE(result.all_ok()) << result.first_error();
   EXPECT_EQ(result.models_prepared, 1);
@@ -295,16 +285,37 @@ TEST(SweepRunner, SharesOnePreparationAcrossItems) {
   EXPECT_DOUBLE_EQ(result.reports[0].value().perplexity, baseline);
 }
 
+TEST(SweepRunner, PreparesEachDistinctConfigOnce) {
+  // Configs a and b share a name and differ only in seed. The sweep
+  // compares configs field by field, so each gets a model of its own,
+  // prepared once however many items use it.
+  const llm::ModelConfig a = tiny_model()->config;
+  llm::ModelConfig b = a;
+  b.seed = a.seed + 1;
+  common::ThreadPool::set_global_threads(4);
+  SweepRunner sweep;
+  sweep.eval_tokens(96);
+  for (const llm::ModelConfig& cfg : {a, b, a, b}) sweep.add({.config = cfg});
+  const auto result = sweep.run();
+  common::ThreadPool::set_global_threads(common::ThreadPool::env_threads());
+  ASSERT_TRUE(result.all_ok()) << result.first_error();
+  EXPECT_EQ(result.models_prepared, 2);
+  const double ppl_a = prepare_shared(a, 96)->fp32_ppl;
+  const double ppl_b = prepare_shared(b, 96)->fp32_ppl;
+  for (std::size_t i = 0; i < result.reports.size(); ++i)
+    EXPECT_DOUBLE_EQ(result.reports[i].value().fp32_perplexity,
+                     i % 2 == 0 ? ppl_a : ppl_b)
+        << "item " << i;
+}
+
 TEST(SessionReport, CarriesAcceleratorPeCount) {
   accel::AcceleratorConfig cfg;
   cfg.array_rows = 4;
   cfg.array_cols = 8;
-  auto session = Session::Builder()
-                     .prepared(tiny_model())
-                     .matmul("BBFP(4,2)")
-                     .accelerator(cfg)
-                     .build()
-                     .expect("build");
+  auto session = Session::create({.prepared = tiny_model(),
+                                  .matmul = "BBFP(4,2)",
+                                  .accelerator = cfg})
+                     .expect("create");
   const auto report = session.evaluate().expect("evaluate");
   EXPECT_EQ(report.accelerator_pes, 32);
   EXPECT_NE(report.to_json().find("\"accelerator_pes\": 32"),

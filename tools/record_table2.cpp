@@ -83,9 +83,7 @@ int main(int argc, char** argv) {
   sweep.eval_tokens(eval_tokens);
   const std::vector<std::string> strategies = table2_strategies();
   for (const std::string& strategy : strategies) {
-    SweepRunner::Item item;
-    item.model = model_name;
-    item.matmul = strategy;
+    SweepRunner::Item item{.model = model_name, .matmul = strategy};
     // Attach the paper's 16x16 array when the strategy prices a PE design.
     const auto spec = quant::StrategySpec::parse(strategy);
     if (spec.is_ok() &&
